@@ -10,6 +10,7 @@ errors, never silently renormalized.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -132,6 +133,42 @@ def _read_share_file(source: str | Path, key_column: str):
                 raise InputFormatError(f"non-numeric share: {exc}", path=path, line=line_no)
     matrix = np.array(values, dtype=float)
     return labels, columns, matrix
+
+
+def read_industry_names(source: str | Path) -> dict[str, str]:
+    """Read an industry list with header ``industry_id,name``."""
+    with open(source, encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or not {"industry_id", "name"}.issubset(reader.fieldnames):
+            raise InputFormatError(
+                "industry list header must contain industry_id,name", path=str(source), line=1
+            )
+        return {row["industry_id"]: row["name"] for row in reader}
+
+
+def read_industry_scores(source: str | Path) -> dict[str, float]:
+    """Read an industry exposure file with header ``industry_id,score``."""
+    path = str(source)
+    with open(source, encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or not {"industry_id", "score"}.issubset(reader.fieldnames):
+            raise InputFormatError(
+                "industry exposure header must contain industry_id,score", path=path, line=1
+            )
+        out = {}
+        for row in reader:
+            try:
+                value = float(row["score"])
+            except (TypeError, ValueError):
+                raise InputFormatError(
+                    f"non-numeric score {row['score']!r}", path=path, line=reader.line_num
+                ) from None
+            if not math.isfinite(value):
+                raise InputFormatError(
+                    f"score {row['score']!r} is not finite", path=path, line=reader.line_num
+                )
+            out[row["industry_id"]] = value
+        return out
 
 
 def industry_exposure(

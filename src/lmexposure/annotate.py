@@ -310,6 +310,14 @@ class ScriptedMockClient:
         return answers[index % len(answers)]
 
 
+# Mock kind -> (key holding its answers, required JSON type, type as worded in errors).
+_MOCK_ANSWERS = {
+    "fixed": ("answer", str, "a string"),
+    "cycle": ("answers", list, "a list"),
+    "scripted": ("answers", dict, "an object mapping codes to lists"),
+}
+
+
 def load_mock_client(
     source: str | Path, taxonomy: Taxonomy | None = None
 ) -> ClassifierClient:
@@ -325,19 +333,28 @@ def load_mock_client(
         config = json.loads(Path(source).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid mock configuration JSON: {exc}", path=path)
-    kind = config.get("kind")
+    kind = config.get("kind") if isinstance(config, dict) else None
+    if not isinstance(kind, str) or kind not in _MOCK_ANSWERS:
+        raise InputFormatError(f"unknown mock client kind {kind!r}", path=path)
+    key, expected, type_name = _MOCK_ANSWERS[kind]
+    answers = config.get(key)
+    if not isinstance(answers, expected) or (
+        kind == "scripted" and not all(isinstance(v, list) for v in answers.values())
+    ):
+        raise InputFormatError(f"{kind} mock needs {key!r} as {type_name}", path=path)
     if kind == "fixed":
-        return FixedMockClient(str(config["answer"]))
+        return FixedMockClient(answers)
     if kind == "cycle":
-        return CycleMockClient([str(a) for a in config["answers"]])
-    if kind == "scripted":
-        if taxonomy is None:
-            raise InputFormatError(
-                "scripted mock configuration needs a taxonomy to map codes to titles",
-                path=path,
-            )
-        return ScriptedMockClient(config["answers"], taxonomy)
-    raise InputFormatError(f"unknown mock client kind {kind!r}", path=path)
+        return CycleMockClient([str(a) for a in answers])
+    if taxonomy is None:
+        raise InputFormatError(
+            "scripted mock configuration needs a taxonomy to map codes to titles",
+            path=path,
+        )
+    try:
+        return ScriptedMockClient(answers, taxonomy)
+    except KeyError as exc:  # a scripted code the taxonomy does not hold
+        raise InputFormatError(str(exc.args[0]), path=path) from None
 
 
 # --- annotation store -------------------------------------------------------

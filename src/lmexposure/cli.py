@@ -45,32 +45,20 @@ class RunConfig:
     inputs: dict[str, Path] = field(default_factory=dict)
     outputs: dict[str, Path] = field(default_factory=dict)
     parameters: dict[str, object] = field(default_factory=dict)
-    seed: int | None = None
+    # Defaults to ``<primary output>.manifest.json``.
+    manifest: Path | None = None
 
-    def add_input(self, role: str, path: str | Path | None) -> Path | None:
-        if path is None:
-            return None
+    def add_input(self, role: str, path: str | Path) -> Path:
         p = Path(path)
         if not p.is_file():
             raise FileNotFoundError(f"input file not found: {p}")
         self.inputs[role] = p
         return p
 
-    def manifest_path(self) -> Path:
-        primary = next(iter(self.outputs.values()))
-        return primary.with_name(primary.name + ".manifest.json")
-
     def write_manifest(self) -> None:
-        parameters = dict(self.parameters)
-        if self.seed is not None:
-            parameters["seed"] = self.seed
-        write_manifest(
-            self.manifest_path(),
-            self.command,
-            parameters,
-            {role: p for role, p in self.inputs.items()},
-            {role: p for role, p in self.outputs.items()},
-        )
+        primary = next(iter(self.outputs.values()))
+        manifest = self.manifest or primary.with_name(primary.name + ".manifest.json")
+        write_manifest(manifest, self.command, self.parameters, self.inputs, self.outputs)
 
 
 def _emit(config: RunConfig, outputs: dict[str, tuple[Path, str]]) -> None:
@@ -84,10 +72,6 @@ def _emit(config: RunConfig, outputs: dict[str, tuple[Path, str]]) -> None:
 def _read_scores_column(path: str | Path, column: str) -> dict[str, float]:
     table = sc.read_score_table(path)
     return table.column(column)
-
-
-def _fmt(value: float, full_precision: bool) -> str:
-    return repr(float(value)) if full_precision else f"{value:.4f}"
 
 
 # --- annotate ----------------------------------------------------------------
@@ -106,11 +90,11 @@ def _load_live_client(spec: str, model_id: str) -> ann.ClassifierClient:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    config = RunConfig(command="annotate", seed=args.seed)
+    config = RunConfig(command="annotate")
     taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
     rubric = ann.DEFAULT_RUBRIC
     if args.rubric:
-        rubric = Path(config.add_input("rubric", args.rubric)).read_text(encoding="utf-8")
+        rubric = config.add_input("rubric", args.rubric).read_text(encoding="utf-8")
 
     live_spec = os.environ.get(CLIENT_ENV_VAR)
     if args.mock:
@@ -176,7 +160,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    config = RunConfig(command="score", seed=args.seed)
+    config = RunConfig(command="score")
     config.parameters = {"full_precision": args.full_precision}
 
     if args.annotations:
@@ -207,13 +191,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 # --- aggregate ---------------------------------------------------------------
 
 
-def cmd_aggregate(args: argparse.Namespace) -> int:
-    config = RunConfig(command="aggregate", seed=args.seed)
-    config.parameters = {"column": args.column, "full_precision": args.full_precision}
-    taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
-    leaf_scores = _read_scores_column(config.add_input("scores", args.scores), args.column)
+def _aggregated_csv(
+    taxonomy: tax.Taxonomy, leaf_scores: dict[str, float], full_precision: bool
+) -> str:
     rolled = tax.aggregate_up(taxonomy, leaf_scores)
-
     lines = ["code,title,level,score"]
     for node in taxonomy.walk():
         raw = node.code.raw
@@ -221,85 +202,65 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
             title = '"' + node.title.replace('"', '""') + '"'
             lines.append(
                 f"{raw},{title},{node.code.level.name.lower()},"
-                f"{_fmt(rolled[raw], args.full_precision)}"
+                f"{sc.format_score(rolled[raw], full_precision)}"
             )
-    _emit(config, {"aggregated": (Path(args.out), "\n".join(lines) + "\n")})
+    return "\n".join(lines) + "\n"
+
+
+def cmd_aggregate(args: argparse.Namespace) -> int:
+    config = RunConfig(command="aggregate")
+    config.parameters = {"column": args.column, "full_precision": args.full_precision}
+    taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
+    leaf_scores = _read_scores_column(config.add_input("scores", args.scores), args.column)
+    text = _aggregated_csv(taxonomy, leaf_scores, args.full_precision)
+    _emit(config, {"aggregated": (Path(args.out), text)})
     return EXIT_OK
 
 
 # --- industry / demographic ----------------------------------------------------
 
 
+def _industry_csv(
+    matrix: agg.IntensityMatrix,
+    r_occ: dict[str, float],
+    full_precision: bool,
+    names: dict[str, str] | None = None,
+) -> str:
+    result = agg.industry_exposure(matrix, r_occ)
+    lines = ["industry_id,name,score" if names else "industry_id,score"]
+    for ind in matrix.industries:
+        cells = [ind]
+        if names:
+            cells.append('"' + names.get(ind, "").replace('"', '""') + '"')
+        cells.append(sc.format_score(result[ind], full_precision))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_industry(args: argparse.Namespace) -> int:
-    config = RunConfig(command="industry", seed=args.seed)
+    config = RunConfig(command="industry")
     config.parameters = {"column": args.column, "full_precision": args.full_precision}
     matrix = agg.IntensityMatrix.from_csv(config.add_input("intensity", args.intensity))
     r_occ = _read_scores_column(config.add_input("scores", args.scores), args.column)
-    result = agg.industry_exposure(matrix, r_occ)
-
-    names: dict[str, str] = {}
+    names = None
     if args.industries:
-        names = _read_industry_names(config.add_input("industries", args.industries))
-    if names:
-        lines = ["industry_id,name,score"]
-        for ind in matrix.industries:
-            name = '"' + names.get(ind, "").replace('"', '""') + '"'
-            lines.append(f"{ind},{name},{_fmt(result[ind], args.full_precision)}")
-    else:
-        lines = ["industry_id,score"]
-        for ind in matrix.industries:
-            lines.append(f"{ind},{_fmt(result[ind], args.full_precision)}")
-    _emit(config, {"industry": (Path(args.out), "\n".join(lines) + "\n")})
+        names = agg.read_industry_names(config.add_input("industries", args.industries))
+    text = _industry_csv(matrix, r_occ, args.full_precision, names)
+    _emit(config, {"industry": (Path(args.out), text)})
     return EXIT_OK
 
 
-def _read_industry_names(path: str | Path) -> dict[str, str]:
-    import csv as _csv
-
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = _csv.DictReader(handle)
-        if reader.fieldnames is None or not {"industry_id", "name"}.issubset(reader.fieldnames):
-            raise InputFormatError(
-                "industry list header must contain industry_id,name", path=str(path), line=1
-            )
-        return {row["industry_id"]: row["name"] for row in reader}
-
-
-def _read_industry_scores(path: str | Path) -> dict[str, float]:
-    import csv as _csv
-
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = _csv.DictReader(handle)
-        if reader.fieldnames is None or not {"industry_id", "score"}.issubset(reader.fieldnames):
-            raise InputFormatError(
-                "industry exposure header must contain industry_id,score",
-                path=str(path),
-                line=1,
-            )
-        out = {}
-        for row in reader:
-            try:
-                out[row["industry_id"]] = float(row["score"])
-            except ValueError:
-                raise InputFormatError(
-                    f"non-numeric score {row['score']!r}",
-                    path=str(path),
-                    line=reader.line_num,
-                ) from None
-        return out
-
-
 def cmd_demographic(args: argparse.Namespace) -> int:
-    config = RunConfig(command="demographic", seed=args.seed)
+    config = RunConfig(command="demographic")
     config.parameters = {"full_precision": args.full_precision}
     shares = agg.DemographicShares.from_csv(
         config.add_input("demographics", args.demographics)
     )
-    r_ind = _read_industry_scores(config.add_input("industry_scores", args.industry_scores))
+    r_ind = agg.read_industry_scores(config.add_input("industry_scores", args.industry_scores))
     result = agg.demographic_exposure(shares, r_ind)
     lines = ["age_group,score"]
     for group in shares.age_groups:
-        lines.append(f"{group},{_fmt(result[group], args.full_precision)}")
+        lines.append(f"{group},{sc.format_score(result[group], args.full_precision)}")
     _emit(config, {"demographic": (Path(args.out), "\n".join(lines) + "\n")})
     return EXIT_OK
 
@@ -316,8 +277,29 @@ def _corr_payload(result: lstats.CorrResult) -> dict[str, object]:
     }
 
 
+def _summary_payload(table: sc.ScoreTable) -> dict[str, object]:
+    """Per-column count/mean/std and every pairwise correlation."""
+    columns = {name: table.column(name) for name in SCORE_COLUMNS if table.column(name)}
+    summary = {
+        name: {
+            "count": (entry := lstats.summarize(list(values.values()))).count,
+            "mean": entry.mean,
+            "std": entry.std,
+        }
+        for name, values in columns.items()
+    }
+    panel = lstats.correlation_panel(columns)
+    names = list(columns)
+    correlations = [
+        {"a": a, "b": b, **_corr_payload(panel[(a, b)])}
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    ]
+    return {"kind": "summary", "columns": summary, "correlations": correlations}
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
-    config = RunConfig(command="stats", seed=args.seed)
+    config = RunConfig(command="stats")
     table = sc.read_score_table(config.add_input("scores", args.scores))
     outputs: dict[str, tuple[Path, str]] = {}
 
@@ -342,7 +324,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if args.plot_data:
             triples = ["x,y,label"]
             for code, _, x, y in report.rows:
-                triples.append(f"{_fmt(x, args.full_precision)},{_fmt(y, args.full_precision)},{code}")
+                x_text = sc.format_score(x, args.full_precision)
+                triples.append(f"{x_text},{sc.format_score(y, args.full_precision)},{code}")
             outputs["plot_data"] = (Path(args.plot_data), "\n".join(triples) + "\n")
     elif args.pair:
         a, b = args.pair
@@ -353,23 +336,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         payload = {"kind": "pair", "a": a, "b": b, **_corr_payload(result)}
         config.parameters = {"mode": "pair", "a": a, "b": b}
     else:
-        columns = {name: table.column(name) for name in SCORE_COLUMNS if table.column(name)}
-        summary = {
-            name: {
-                "count": (entry := lstats.summarize(list(values.values()))).count,
-                "mean": entry.mean,
-                "std": entry.std,
-            }
-            for name, values in columns.items()
-        }
-        panel = lstats.correlation_panel(columns)
-        names = list(columns)
-        correlations = [
-            {"a": a, "b": b, **_corr_payload(panel[(a, b)])}
-            for i, a in enumerate(names)
-            for b in names[i + 1 :]
-        ]
-        payload = {"kind": "summary", "columns": summary, "correlations": correlations}
+        payload = _summary_payload(table)
         config.parameters = {"mode": "summary"}
 
     outputs["report"] = (Path(args.out), dump_json(payload, args.full_precision))
@@ -397,7 +364,7 @@ def _law_payload(law: econ.GrowthLaw) -> dict[str, object]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = RunConfig(command="simulate", seed=args.seed)
+    config = RunConfig(command="simulate")
     sectors, law = _scenario_inputs(args, config)
     scenario = econ.AdoptionScenario.solve(sectors, law)
     rows = []
@@ -429,19 +396,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _parse_grid(spec: str | None, default: list[float]) -> list[float]:
     if spec is None:
         return default
-    if ":" in spec:
+    try:
+        if ":" not in spec:
+            return [float(v) for v in spec.split(",")]
         lo_s, hi_s, n_s = spec.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-        if n < 1:
-            raise InputFormatError(f"grid needs at least one point, got {n}")
-        if n == 1:
-            return [lo]
-        return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    return [float(v) for v in spec.split(",")]
+    except ValueError:
+        raise InputFormatError(
+            f"grid must be lo:hi:n or a comma-separated list of numbers, got {spec!r}"
+        ) from None
+    if n < 1:
+        raise InputFormatError(f"grid needs at least one point, got {n}")
+    if n == 1:
+        return [lo]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def cmd_contour(args: argparse.Namespace) -> int:
-    config = RunConfig(command="contour", seed=args.seed)
+    config = RunConfig(command="contour")
     sectors, law = _scenario_inputs(args, config)
     sectors = sorted(sectors, key=lambda s: s.exposure, reverse=True)
     delta_grid = _parse_grid(args.delta_grid, econ.default_delta_grid())
@@ -449,14 +421,14 @@ def cmd_contour(args: argparse.Namespace) -> int:
     grid = econ.contour_grid(sectors, law, delta_grid, ratio_grid)
 
     header = "delta\\ratio," + ",".join(
-        _fmt(r, args.full_precision) for r in grid.ratio_grid
+        sc.format_score(r, args.full_precision) for r in grid.ratio_grid
     )
     lines = [header]
     for delta, row in zip(grid.delta_grid, grid.values):
         lines.append(
-            _fmt(delta, args.full_precision)
+            sc.format_score(delta, args.full_precision)
             + ","
-            + ",".join(_fmt(v, args.full_precision) for v in row)
+            + ",".join(sc.format_score(v, args.full_precision) for v in row)
         )
     config.parameters = {
         "rho": args.rho,
@@ -513,85 +485,34 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    """score -> aggregate -> industry -> stats against one fixture set."""
-    config = RunConfig(command="pipeline", seed=args.seed)
-    config.parameters = {"column": args.column, "full_precision": args.full_precision}
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """score -> aggregate -> industry -> stats against one fixture set.
 
-    table = sc.recompute_ensemble(
-        sc.read_score_table(config.add_input("scores", args.scores))
-    )
+    Each stage gets the previous one's unrounded in-memory table, so with
+    ``--full-precision`` the outputs equal those of the chained commands.
+    """
+    outdir = Path(args.outdir)
+    config = RunConfig(command="pipeline", manifest=outdir / "manifest.json")
+    config.parameters = {"column": args.column, "full_precision": args.full_precision}
+    full = args.full_precision
+    table = sc.recompute_ensemble(sc.read_score_table(config.add_input("scores", args.scores)))
     taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
     matrix = agg.IntensityMatrix.from_csv(config.add_input("intensity", args.intensity))
-
-    outputs: dict[str, tuple[Path, str]] = {}
-    outputs["scores"] = (
-        outdir / "score_table.csv",
-        sc.render_score_table(table, args.full_precision),
-    )
-
-    rolled = tax.aggregate_up(taxonomy, table.column(args.column))
-    lines = ["code,title,level,score"]
-    for node in taxonomy.walk():
-        raw = node.code.raw
-        if raw in rolled:
-            title = '"' + node.title.replace('"', '""') + '"'
-            lines.append(
-                f"{raw},{title},{node.code.level.name.lower()},"
-                f"{_fmt(rolled[raw], args.full_precision)}"
-            )
-    outputs["aggregated"] = (outdir / "aggregated_scores.csv", "\n".join(lines) + "\n")
-
-    industry = agg.industry_exposure(matrix, table.column(args.column))
-    ind_lines = ["industry_id,score"]
-    for ind in matrix.industries:
-        ind_lines.append(f"{ind},{_fmt(industry[ind], args.full_precision)}")
-    outputs["industry"] = (outdir / "industry_exposure.csv", "\n".join(ind_lines) + "\n")
-
-    columns = {name: table.column(name) for name in SCORE_COLUMNS if table.column(name)}
-    summary = {
-        name: {
-            "count": (entry := lstats.summarize(list(values.values()))).count,
-            "mean": entry.mean,
-            "std": entry.std,
-        }
-        for name, values in columns.items()
+    leaf_scores = table.column(args.column)
+    outputs = {
+        "scores": ("score_table.csv", sc.render_score_table(table, full)),
+        "aggregated": ("aggregated_scores.csv", _aggregated_csv(taxonomy, leaf_scores, full)),
+        "industry": ("industry_exposure.csv", _industry_csv(matrix, leaf_scores, full)),
+        "stats": ("stats_summary.json", dump_json(_summary_payload(table), full)),
     }
-    panel = lstats.correlation_panel(columns)
-    names = list(columns)
-    correlations = [
-        {"a": a, "b": b, **_corr_payload(panel[(a, b)])}
-        for i, a in enumerate(names)
-        for b in names[i + 1 :]
-    ]
-    outputs["stats"] = (
-        outdir / "stats_summary.json",
-        dump_json(
-            {"kind": "summary", "columns": summary, "correlations": correlations},
-            args.full_precision,
-        ),
-    )
-
-    for role, (path, text) in outputs.items():
-        atomic_write_text(path, text)
-        config.outputs[role] = path
-    write_manifest(
-        outdir / "manifest.json",
-        config.command,
-        config.parameters | ({"seed": args.seed} if args.seed is not None else {}),
-        config.inputs,
-        config.outputs,
-    )
+    _emit(config, {role: (outdir / name, text) for role, (name, text) in outputs.items()})
     return EXIT_OK
 
 
 # --- parser ------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
-    parser.add_argument("--out", required=out_required, help="output file path")
-    parser.add_argument("--seed", type=int, default=None, help="run seed, recorded in the manifest")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", required=True, help="output file path")
     parser.add_argument(
         "--full-precision",
         action="store_true",
@@ -701,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intensity", required=True)
     p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     p.add_argument("--outdir", required=True, help="directory for the four output files")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--full-precision", action="store_true")
     p.set_defaults(handler=cmd_pipeline)
 

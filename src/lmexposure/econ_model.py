@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -137,19 +137,14 @@ def tabulated_threshold(
 class Sector:
     """One sector: id, baseline output share, damage ratio, derived exposure.
 
-    ``baseline_output`` absorbs the productivity level and the production
-    function evaluated at the sector's inputs; only shares enter the
-    aggregate, so it may stay None when shares are given directly.
-    ``occupation_mix`` optionally records the employment shares from which
-    ``exposure`` was derived.
+    Only output shares enter the aggregate; a scenario that gives baseline
+    output levels instead is converted to shares on loading.
     """
 
     id: str
     output_share: float
     damage_ratio: float
     exposure: float
-    baseline_output: float | None = None
-    occupation_mix: dict[str, float] | None = field(default=None)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.output_share <= 1.0:
@@ -164,10 +159,6 @@ class Sector:
         if not 0.0 <= self.exposure <= 1.0:
             raise ComputationError(
                 f"sector {self.id!r}: exposure {self.exposure} outside [0, 1]"
-            )
-        if self.baseline_output is not None and self.baseline_output < 0:
-            raise ComputationError(
-                f"sector {self.id!r}: baseline output must be non-negative"
             )
 
 
@@ -375,7 +366,6 @@ def load_scenario(
         sector_id = str(spec.get("id", len(sectors) + 1))
         if "exposure" in spec:
             exposure = float(spec["exposure"])
-            mix = None
         elif "occupation_mix" in spec:
             if r_occ is None:
                 raise InputFormatError(
@@ -411,16 +401,7 @@ def load_scenario(
                 f"sector {sector_id!r} needs a delta (or set damage_kappa)", path=path
             )
         sectors.append(
-            Sector(
-                id=sector_id,
-                output_share=share,
-                damage_ratio=delta,
-                exposure=exposure,
-                baseline_output=(
-                    float(spec["baseline_output"]) if "baseline_output" in spec else None
-                ),
-                occupation_mix=mix,
-            )
+            Sector(id=sector_id, output_share=share, damage_ratio=delta, exposure=exposure)
         )
     check_share_sum(sectors)
     return sectors, law

@@ -242,11 +242,16 @@ def read_outcome_csv(source: str | Path) -> OutcomeSeries:
             if code in values:
                 raise InputFormatError(f"duplicate code {code!r}", path=path, line=line_no)
             try:
-                values[code] = float(row[1])
+                value = float(row[1])
             except ValueError:
                 raise InputFormatError(
                     f"non-numeric outcome value {row[1]!r}", path=path, line=line_no
                 ) from None
+            if not math.isfinite(value):
+                raise InputFormatError(
+                    f"outcome value {row[1]!r} is not finite", path=path, line=line_no
+                )
+            values[code] = value
     return OutcomeSeries(kind=kind, values=values)
 
 

@@ -99,7 +99,6 @@ class ExposureRecord:
     """Canonical per-occupation score record."""
 
     code: OccupationCode
-    per_model_samples: dict[str, list[ExposureCategory]] = field(default_factory=dict)
     per_model_score: dict[str, float] = field(default_factory=dict)
     ensemble_score: float = 0.0
     expert_score: float | None = None
@@ -113,11 +112,9 @@ class ExposureRecord:
         expert_score: float | None = None,
         title: str = "",
     ) -> "ExposureRecord":
-        samples = {m: list(s) for m, s in per_model_samples.items()}
-        per_model = {m: model_score(s) for m, s in samples.items()}
+        per_model = {m: model_score(s) for m, s in per_model_samples.items()}
         return cls(
             code=code,
-            per_model_samples=samples,
             per_model_score=per_model,
             ensemble_score=ensemble(per_model),
             expert_score=expert_score,

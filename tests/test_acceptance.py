@@ -309,7 +309,7 @@ def test_criterion_9_annotation_determinism(tmp_path):
                     [
                         "annotate", "--taxonomy", str(taxonomy_file),
                         "--mock", str(mock_file), "--models", "glm",
-                        "--n-samples", "8", "--seed", "11", "--out", str(store),
+                        "--n-samples", "8", "--out", str(store),
                     ]
                 )
                 == EXIT_OK
@@ -318,8 +318,7 @@ def test_criterion_9_annotation_determinism(tmp_path):
                 main(
                     [
                         "score", "--annotations", str(store),
-                        "--taxonomy", str(taxonomy_file), "--seed", "11",
-                        "--out", str(table),
+                        "--taxonomy", str(taxonomy_file), "--out", str(table),
                     ]
                 )
                 == EXIT_OK

@@ -129,6 +129,20 @@ def test_stats_scatter_with_plot_data(tmp_path):
     assert len(plot_lines) == 64
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_stats_rejects_non_finite_outcome(tmp_path, capsys, bad):
+    outcome = tmp_path / "salary.csv"
+    rows = ["code,salary"]
+    for i, row in enumerate(read_score_table(SCORES).rows):
+        rows.append(f"{row.code},{bad if i == 5 else 3000 + 40 * i}")
+    outcome.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "scatter.json"
+    code = main(["stats", "--scores", SCORES, "--outcomes", str(outcome), "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert f"{outcome}:7:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- aggregate / industry / demographic ------------------------------------------
 
 
@@ -186,6 +200,26 @@ def test_industry_then_demographic(tmp_path):
     assert all(0.0 <= float(r["score"]) <= 1.0 for r in demo_rows)
 
 
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_demographic_rejects_non_finite_industry_score(tmp_path, capsys, bad):
+    ind = tmp_path / "industry.csv"
+    argv = ["industry", "--intensity", INTENSITY, "--scores", SCORES, "--out", str(ind)]
+    assert main(argv) == EXIT_OK
+    lines = ind.read_text().splitlines()
+    lines[3] = lines[3].split(",")[0] + "," + bad
+    ind.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "ages.csv"
+    code = main(
+        [
+            "demographic", "--demographics", DEMOGRAPHICS,
+            "--industry-scores", str(ind), "--out", str(out),
+        ]
+    )
+    assert code == EXIT_INPUT
+    assert f"{ind}:4:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- simulate / contour -----------------------------------------------------------
 
 
@@ -240,6 +274,17 @@ def test_contour_output_shape(tmp_path):
         assert float(cells[1]) == 1.0  # ratio-0 column
 
 
+@pytest.mark.parametrize(
+    "grid", [("--delta-grid", "0:1"), ("--ratio-grid", "a:b:3"), ("--delta-grid", "0,x")]
+)
+def test_contour_malformed_grid_is_input_error(tmp_path, capsys, grid):
+    out = tmp_path / "contour.csv"
+    code = main(["contour", "--scenario", SCENARIO, *grid, "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert grid[1] in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- validate ----------------------------------------------------------------
 
 
@@ -270,6 +315,27 @@ def test_validate_reports_orphan_with_line(tmp_path, capsys):
     bad.write_text("code,title,description,excluded\n2-06,Econ,d,false\n")
     assert main(["validate", "--taxonomy", str(bad)]) == EXIT_INPUT
     assert ":2:" in capsys.readouterr().out  # line number of the orphan row
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "fixed"},
+        {"kind": "cycle", "answers": 5},
+        {"kind": "scripted", "answers": {"2-01": "E1"}},
+        {"kind": "scripted", "answers": {"9-99": ["E1"]}},
+        ["E1"],
+    ],
+)
+def test_malformed_mock_config_is_input_error(tmp_path, capsys, config):
+    mock = _write_mock(tmp_path, config)
+    assert main(["validate", "--taxonomy", TAXONOMY, "--mock", mock]) == EXIT_INPUT
+    assert f"mock: {mock}: " in capsys.readouterr().out
+    out = tmp_path / "store.jsonl"
+    code = main(["annotate", "--taxonomy", TAXONOMY, "--mock", mock, "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert mock in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- exit codes and atomicity ----------------------------------------------------
@@ -333,7 +399,7 @@ def _run_mock_pipeline(workdir):
             [
                 "annotate", "--taxonomy", TAXONOMY, "--mock", MOCK,
                 "--models", "glm,gpt4,internlm", "--n-samples", "8",
-                "--seed", "7", "--out", str(store),
+                "--out", str(store),
             ]
         )
         == EXIT_OK
@@ -342,7 +408,7 @@ def _run_mock_pipeline(workdir):
         main(
             [
                 "score", "--annotations", str(store), "--taxonomy", TAXONOMY,
-                "--seed", "7", "--out", str(scores_out),
+                "--out", str(scores_out),
             ]
         )
         == EXIT_OK
@@ -424,3 +490,27 @@ def test_pipeline_meta_command(tmp_path):
     assert stats["columns"]["internlm"]["mean"] == pytest.approx(0.14, abs=0.01)
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"scores", "aggregated", "industry", "stats"}
+
+
+def test_pipeline_equals_chained_commands(tmp_path):
+    outdir = tmp_path / "run"
+    assert (
+        main(
+            [
+                "pipeline", "--scores", SCORES, "--taxonomy", TAXONOMY,
+                "--intensity", INTENSITY, "--outdir", str(outdir), "--full-precision",
+            ]
+        )
+        == EXIT_OK
+    )
+    chain = tmp_path / "chain"
+    scores = str(chain / "score_table.csv")
+    for argv, name in (
+        (["score", "--scores", SCORES], "score_table.csv"),
+        (["aggregate", "--taxonomy", TAXONOMY, "--scores", scores], "aggregated_scores.csv"),
+        (["industry", "--intensity", INTENSITY, "--scores", scores], "industry_exposure.csv"),
+        (["stats", "--scores", scores], "stats_summary.json"),
+    ):
+        out = str(chain / name)
+        assert main([*argv, "--full-precision", "--out", out]) == EXIT_OK
+        assert (outdir / name).read_bytes() == (chain / name).read_bytes(), name

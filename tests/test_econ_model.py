@@ -429,6 +429,21 @@ def test_scenario_baseline_outputs(tmp_path):
     sectors, _ = load_scenario(path)
     assert [s.output_share for s in sectors] == pytest.approx([0.3, 0.7])
 
+    # A negative output with a positive total gives a negative share.
+    negative = tmp_path / "negative.json"
+    negative.write_text(
+        json.dumps(
+            {
+                "sectors": [
+                    {"id": "a", "baseline_output": -10, "exposure": 0.1, "delta": 0.0},
+                    {"id": "b", "baseline_output": 110, "exposure": 0.2, "delta": 0.0},
+                ]
+            }
+        )
+    )
+    with pytest.raises(ComputationError):
+        load_scenario(negative)
+
 
 def test_scenario_errors(tmp_path):
     missing_delta = tmp_path / "bad1.json"
