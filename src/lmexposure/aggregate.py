@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
-import numpy as np
-
-from .errors import ComputationError, InputFormatError
+from .errors import ComputationError, InputFormatError, parse_finite
 from .taxonomy import OccupationCode
 
 ROW_SUM_TOL = 1e-9
@@ -31,22 +29,41 @@ class MissingExposureError(ComputationError):
     """A weight column has no matching exposure score."""
 
 
-def _check_rows(matrix: np.ndarray, labels: list[str], what: str, path: str | None) -> None:
-    if np.any(matrix < 0):
-        row, col = map(int, np.argwhere(matrix < 0)[0])
+def _to_rows(
+    matrix: Sequence[Sequence[float]], n_rows: int, n_cols: int, what: str, path: str | None
+) -> list[list[float]]:
+    """Copy a matrix to float rows, checking its shape against its labels."""
+    rows = [[float(v) for v in row] for row in matrix]
+    if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
         raise InputFormatError(
-            f"negative share {float(matrix[row, col]):.12g} in {what} row {labels[row]!r}",
-            path=path,
+            f"{what} matrix is not {n_rows} x {n_cols}, one row and column per label", path=path
         )
-    sums = matrix.sum(axis=1)
-    bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        raise RowSumError(
-            f"{what} row {labels[row]!r} sums to {float(sums[row]):.12g}, "
-            f"expected 1 within {ROW_SUM_TOL}",
-            path=path,
-        )
+    return rows
+
+
+def _check_rows(matrix: list[list[float]], labels: list[str], what: str, path: str | None) -> None:
+    # Written so that NaN fails both checks: comparisons with NaN are false.
+    for label, row in zip(labels, matrix):
+        for v in row:
+            if not v >= 0:
+                raise InputFormatError(
+                    f"share {v:.12g} in {what} row {label!r} is not a non-negative number",
+                    path=path,
+                )
+        total = sum(row)
+        if not abs(total - 1.0) <= ROW_SUM_TOL:
+            raise RowSumError(
+                f"{what} row {label!r} sums to {total:.12g}, "
+                f"expected 1 within {ROW_SUM_TOL}",
+                path=path,
+            )
+
+
+def _project(
+    matrix: list[list[float]], labels: list[str], scores: list[float]
+) -> dict[str, float]:
+    """Each row's score-weighted sum, one ``math.fsum`` per row."""
+    return {k: math.fsum(w * x for w, x in zip(row, scores)) for k, row in zip(labels, matrix)}
 
 
 @dataclass
@@ -55,26 +72,25 @@ class IntensityMatrix:
 
     industries: list[str]
     occupations: list[str]
-    beta: np.ndarray
+    beta: list[list[float]]
+    path: InitVar[str | None] = None  # the source file, named in error messages
 
-    def __post_init__(self) -> None:
-        self.beta = np.asarray(self.beta, dtype=float)
-        if self.beta.shape != (len(self.industries), len(self.occupations)):
-            raise InputFormatError(
-                f"intensity matrix shape {self.beta.shape} does not match "
-                f"{len(self.industries)} industries x {len(self.occupations)} occupations"
-            )
+    def __post_init__(self, path: str | None) -> None:
+        self.beta = _to_rows(
+            self.beta, len(self.industries), len(self.occupations), "intensity", path
+        )
         levels = {OccupationCode.parse(code).level for code in self.occupations}
         if len(levels) > 1:
             raise InputFormatError(
-                f"occupation columns mix taxonomy levels {sorted(l.name for l in levels)}"
+                f"occupation columns mix taxonomy levels {sorted(l.name for l in levels)}",
+                path=path,
             )
-        _check_rows(self.beta, self.industries, "intensity", None)
+        _check_rows(self.beta, self.industries, "intensity", path)
 
     @classmethod
     def from_csv(cls, source: str | Path) -> "IntensityMatrix":
         industries, occupations, matrix = _read_share_file(source, "industry_id")
-        return cls(industries=industries, occupations=occupations, beta=matrix)
+        return cls(industries=industries, occupations=occupations, beta=matrix, path=str(source))
 
 
 @dataclass
@@ -83,21 +99,17 @@ class DemographicShares:
 
     age_groups: list[str]
     industries: list[str]
-    w: np.ndarray
+    w: list[list[float]]
+    path: InitVar[str | None] = None  # the source file, named in error messages
 
-    def __post_init__(self) -> None:
-        self.w = np.asarray(self.w, dtype=float)
-        if self.w.shape != (len(self.age_groups), len(self.industries)):
-            raise InputFormatError(
-                f"demographic share shape {self.w.shape} does not match "
-                f"{len(self.age_groups)} age groups x {len(self.industries)} industries"
-            )
-        _check_rows(self.w, self.age_groups, "demographic", None)
+    def __post_init__(self, path: str | None) -> None:
+        self.w = _to_rows(self.w, len(self.age_groups), len(self.industries), "demographic", path)
+        _check_rows(self.w, self.age_groups, "demographic", path)
 
     @classmethod
     def from_csv(cls, source: str | Path) -> "DemographicShares":
         age_groups, industries, matrix = _read_share_file(source, "age_group")
-        return cls(age_groups=age_groups, industries=industries, w=matrix)
+        return cls(age_groups=age_groups, industries=industries, w=matrix, path=str(source))
 
 
 def _read_share_file(source: str | Path, key_column: str):
@@ -131,8 +143,7 @@ def _read_share_file(source: str | Path, key_column: str):
                 values.append([float(cell) for cell in row[1:]])
             except ValueError as exc:
                 raise InputFormatError(f"non-numeric share: {exc}", path=path, line=line_no)
-    matrix = np.array(values, dtype=float)
-    return labels, columns, matrix
+    return labels, columns, values
 
 
 def read_industry_names(source: str | Path) -> dict[str, str]:
@@ -155,20 +166,10 @@ def read_industry_scores(source: str | Path) -> dict[str, float]:
             raise InputFormatError(
                 "industry exposure header must contain industry_id,score", path=path, line=1
             )
-        out = {}
-        for row in reader:
-            try:
-                value = float(row["score"])
-            except (TypeError, ValueError):
-                raise InputFormatError(
-                    f"non-numeric score {row['score']!r}", path=path, line=reader.line_num
-                ) from None
-            if not math.isfinite(value):
-                raise InputFormatError(
-                    f"score {row['score']!r} is not finite", path=path, line=reader.line_num
-                )
-            out[row["industry_id"]] = value
-        return out
+        return {
+            row["industry_id"]: parse_finite(row["score"], "score", path, reader.line_num)
+            for row in reader
+        }
 
 
 def industry_exposure(
@@ -185,9 +186,7 @@ def industry_exposure(
             f"no exposure score for occupation columns {missing[:5]}"
             + ("..." if len(missing) > 5 else "")
         )
-    scores = np.array([r_occ[code] for code in matrix.occupations], dtype=float)
-    values = matrix.beta @ scores
-    return dict(zip(matrix.industries, values.tolist()))
+    return _project(matrix.beta, matrix.industries, [r_occ[code] for code in matrix.occupations])
 
 
 def demographic_exposure(
@@ -200,6 +199,4 @@ def demographic_exposure(
             f"no exposure score for industries {missing[:5]}"
             + ("..." if len(missing) > 5 else "")
         )
-    scores = np.array([r_ind[ind] for ind in shares.industries], dtype=float)
-    values = shares.w @ scores
-    return dict(zip(shares.age_groups, values.tolist()))
+    return _project(shares.w, shares.age_groups, [r_ind[ind] for ind in shares.industries])

@@ -301,7 +301,7 @@ def _summary_payload(table: sc.ScoreTable) -> dict[str, object]:
 def cmd_stats(args: argparse.Namespace) -> int:
     config = RunConfig(command="stats")
     table = sc.read_score_table(config.add_input("scores", args.scores))
-    outputs: dict[str, tuple[Path, str]] = {}
+    plot: dict[str, tuple[Path, str]] = {}
 
     if args.outcomes:
         outcome = lstats.read_outcome_csv(config.add_input("outcomes", args.outcomes))
@@ -326,7 +326,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             for code, _, x, y in report.rows:
                 x_text = sc.format_score(x, args.full_precision)
                 triples.append(f"{x_text},{sc.format_score(y, args.full_precision)},{code}")
-            outputs["plot_data"] = (Path(args.plot_data), "\n".join(triples) + "\n")
+            plot["plot_data"] = (Path(args.plot_data), "\n".join(triples) + "\n")
     elif args.pair:
         a, b = args.pair
         col_a = table.column(a)
@@ -339,8 +339,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         payload = _summary_payload(table)
         config.parameters = {"mode": "summary"}
 
-    outputs["report"] = (Path(args.out), dump_json(payload, args.full_precision))
-    _emit(config, outputs)
+    # The report is the primary output: the manifest is named after it.
+    report_out = (Path(args.out), dump_json(payload, args.full_precision))
+    _emit(config, {"report": report_out, **plot})
     return EXIT_OK
 
 
@@ -456,12 +457,14 @@ def validate_inputs(args: argparse.Namespace) -> list[str]:
             loader(path)
         except LmExposureError as exc:
             diagnostics.append(f"{label}: {exc}")
+        except UnicodeDecodeError as exc:
+            diagnostics.append(f"{label}: {path}: not UTF-8 text: {exc}")
 
     taxonomy = None
     if args.taxonomy and Path(args.taxonomy).is_file():
         try:
             taxonomy = tax.load_taxonomy(args.taxonomy)
-        except LmExposureError:
+        except (LmExposureError, UnicodeDecodeError):
             taxonomy = None
     _check("taxonomy", args.taxonomy, tax.load_taxonomy)
     _check("scores", args.scores, sc.read_score_table)
@@ -580,7 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="summary panels, correlations, scatter reports")
     p.add_argument("--scores", required=True)
-    p.add_argument("--pair", nargs=2, metavar=("A", "B"), help="correlate two score columns")
+    p.add_argument(
+        "--pair", nargs=2, metavar=("A", "B"), choices=SCORE_COLUMNS, help="correlate two columns"
+    )
     p.add_argument("--outcomes", help="outcome CSV (code,<kind>) for a scatter report")
     p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     p.add_argument("--plot-data", help="also write (x,y,label) triples to this path")
@@ -635,7 +640,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InputFormatError as exc:
+    except (InputFormatError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ComputationError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ComputationError, InputFormatError
+from .errors import ComputationError, InputFormatError, parse_finite
 
 SHARE_SUM_TOL = 1e-9
 
@@ -353,9 +353,10 @@ def load_scenario(
 
     shares: list[float]
     if all("share" in s for s in raw_sectors):
-        shares = [float(s["share"]) for s in raw_sectors]
+        shares = [parse_finite(s["share"], "sector share", path) for s in raw_sectors]
     elif all("baseline_output" in s for s in raw_sectors):
-        shares = shares_from_outputs([float(s["baseline_output"]) for s in raw_sectors])
+        outputs = [parse_finite(s["baseline_output"], "baseline_output", path) for s in raw_sectors]
+        shares = shares_from_outputs(outputs)
     else:
         raise InputFormatError(
             "every sector needs either a share or a baseline_output", path=path
@@ -365,7 +366,7 @@ def load_scenario(
     for spec, share in zip(raw_sectors, shares):
         sector_id = str(spec.get("id", len(sectors) + 1))
         if "exposure" in spec:
-            exposure = float(spec["exposure"])
+            exposure = parse_finite(spec["exposure"], "sector exposure", path)
         elif "occupation_mix" in spec:
             if r_occ is None:
                 raise InputFormatError(
@@ -393,7 +394,7 @@ def load_scenario(
                 f"sector {sector_id!r} needs an exposure or an occupation_mix", path=path
             )
         if "delta" in spec:
-            delta = float(spec["delta"])
+            delta = parse_finite(spec["delta"], "sector delta", path)
         elif kappa is not None:
             delta = float(kappa) * exposure
         else:

@@ -7,6 +7,8 @@ computing on otherwise well-formed inputs (``ComputationError``).
 
 from __future__ import annotations
 
+import math
+
 
 class LmExposureError(Exception):
     """Base class for all package errors."""
@@ -26,3 +28,14 @@ class InputFormatError(LmExposureError):
 
 class ComputationError(LmExposureError):
     """An operation's precondition or invariant was violated at run time."""
+
+
+def parse_finite(value: object, what: str, path: str, line: int | None = None) -> float:
+    """``float(value)`` for a reader, or an InputFormatError unless it is finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise InputFormatError(f"{what} {value!r} is not a finite number", path=path, line=line)
+    return number

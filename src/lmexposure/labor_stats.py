@@ -16,9 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from scipy.special import betainc
-
-from .errors import ComputationError, InputFormatError
+from .errors import ComputationError, InputFormatError, parse_finite
 from .taxonomy import OccupationCode
 
 # p-value cutoffs, most demanding first. Convention: * p<0.05, ** p<0.01,
@@ -75,12 +73,50 @@ class CorrResult:
     stars: str
 
 
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) by the modified Lentz method; it
+    converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise ComputationError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
 def _t_tail_p(t: float, df: int) -> float:
-    """Two-sided p from the Student-t distribution via the regularized
-    incomplete beta function; exact for small n, no normal approximation."""
-    if math.isinf(t):
+    """Two-sided p from the Student-t distribution on integer ``df``: the
+    regularized incomplete beta I_x(df/2, 1/2) at x = df / (df + t^2);
+    exact for small n, no normal approximation."""
+    tt = t * t
+    if math.isinf(tt):
         return 0.0
-    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    a, b = df / 2.0, 0.5
+    # y comes from t, not 1 - x, so that it keeps its digits at small t.
+    x, y = df / (df + tt), tt / (df + tt)
+    # 1 / B(a, 1/2) = Gamma(a + 1/2) / (Gamma(a) sqrt(pi)); the ratio is built
+    # by its recurrence from a = 1 or 1/2, as lgamma loses ~1e-12 at df ~ 1,600.
+    root_pi = math.sqrt(math.pi)
+    k, ratio = (1.0, root_pi / 2.0) if df % 2 == 0 else (0.5, 1.0 / root_pi)
+    while k < a:
+        ratio *= (k + 0.5) / k
+        k += 1.0
+    # x^a y^b / B(a, b), with x^a through log1p to keep its digits at large a.
+    front = math.exp(-a * math.log1p(tt / df)) * math.sqrt(y) * ratio / root_pi
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, y) / b
 
 
 def pearson(
@@ -101,7 +137,8 @@ def pearson(
     if sxx == 0.0 or syy == 0.0:
         raise ConstantSeriesError("correlation undefined for a constant series")
     sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    r = sxy / math.sqrt(sxx * syy)
+    # The product of two tiny sums can underflow to 0 where their roots do not.
+    r = sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         p = 0.0
@@ -241,17 +278,7 @@ def read_outcome_csv(source: str | Path) -> OutcomeSeries:
             code = OccupationCode.parse(row[0]).raw
             if code in values:
                 raise InputFormatError(f"duplicate code {code!r}", path=path, line=line_no)
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise InputFormatError(
-                    f"non-numeric outcome value {row[1]!r}", path=path, line=line_no
-                ) from None
-            if not math.isfinite(value):
-                raise InputFormatError(
-                    f"outcome value {row[1]!r} is not finite", path=path, line=line_no
-                )
-            values[code] = value
+            values[code] = parse_finite(row[1], "outcome value", path, line_no)
     return OutcomeSeries(kind=kind, values=values)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .annotate import AnnotationRun, ExposureCategory
-from .errors import ComputationError, InputFormatError
+from .errors import ComputationError, InputFormatError, parse_finite
 from .taxonomy import OccupationCode
 
 POINT_VALUES: dict[ExposureCategory, float] = {
@@ -89,7 +89,8 @@ def read_expert_panel(source: str | Path) -> ExpertPanel:
             )
         for row in reader:
             code = OccupationCode.parse(row["code"]).raw
-            scores.setdefault(code, []).append(float(row["score"]))
+            value = parse_finite(row["score"], "expert score", path, reader.line_num)
+            scores.setdefault(code, []).append(value)
     panel_size = max((len(v) for v in scores.values()), default=0)
     return ExpertPanel(scores=scores, panel_size=panel_size)
 
@@ -189,12 +190,7 @@ def _parse_score(cell: str, column: str, path: str, line: int) -> float | None:
     cell = cell.strip()
     if not cell:
         return None
-    try:
-        value = float(cell)
-    except ValueError:
-        raise InputFormatError(
-            f"non-numeric {column} value {cell!r}", path=path, line=line
-        ) from None
+    value = parse_finite(cell, f"{column} value", path, line)
     if not 0.0 <= value <= 1.0:
         raise InputFormatError(
             f"{column} value {value} is outside [0, 1]", path=path, line=line

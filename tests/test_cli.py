@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-import json
 import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lmexposure
 from lmexposure.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -129,6 +134,28 @@ def test_stats_scatter_with_plot_data(tmp_path):
     assert len(plot_lines) == 64
 
 
+def test_stats_manifest_is_named_after_the_report(tmp_path):
+    outcome = tmp_path / "salary.csv"
+    codes = [row.code for row in read_score_table(SCORES).rows]
+    rows = ["code,salary"] + [f"{code},{3000 + i}" for i, code in enumerate(codes)]
+    outcome.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "scatter.json"
+    plot = tmp_path / "plot.csv"
+    argv = ["stats", "--scores", SCORES, "--outcomes", str(outcome), "--plot-data", str(plot)]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert not (tmp_path / "plot.csv.manifest.json").exists()
+    manifest = json.loads((tmp_path / "scatter.json.manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"report", "plot_data"}
+
+
+def test_stats_pair_unknown_column_exits_two(tmp_path, capsys):
+    out = str(tmp_path / "pair.json")
+    with pytest.raises(SystemExit) as err:
+        main(["stats", "--scores", SCORES, "--pair", "glm", "nonexistent", "--out", out])
+    assert err.value.code == EXIT_CONFIG
+    assert "nonexistent" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_stats_rejects_non_finite_outcome(tmp_path, capsys, bad):
     outcome = tmp_path / "salary.csv"
@@ -217,6 +244,50 @@ def test_demographic_rejects_non_finite_industry_score(tmp_path, capsys, bad):
     )
     assert code == EXIT_INPUT
     assert f"{ind}:4:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["industry", "demographic"])
+def test_nan_share_is_input_error(tmp_path, capsys, command):
+    industry_scores = tmp_path / "industry.csv"
+    industry_scores.write_text("industry_id,score\ni1,0.3\ni2,0.5\n")
+    bad = tmp_path / "shares.csv"
+    out = tmp_path / "out.csv"
+    if command == "industry":
+        bad.write_text("industry_id,2-01,2-02\ni1,nan,1.0\n")
+        argv = ["industry", "--intensity", str(bad), "--scores", SCORES]
+    else:
+        bad.write_text("age_group,i1,i2\na1,0.5,nan\n")
+        argv = ["demographic", "--demographics", str(bad)]
+        argv += ["--industry-scores", str(industry_scores)]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    assert f"{bad}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan"])
+def test_expert_score_must_be_a_finite_number(tmp_path, capsys, bad):
+    store = tmp_path / "store.jsonl"
+    mock = _write_mock(tmp_path, {"kind": "fixed", "answer": "E1"})
+    argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", mock, "--models", "glm"]
+    assert main([*argv, "--n-samples", "1", "--out", str(store)]) == EXIT_OK
+    expert = tmp_path / "expert.csv"
+    expert.write_text(f"code,score\n2-01,0.5\n2-02,{bad}\n")
+    out = tmp_path / "scores.csv"
+    code = main(["score", "--annotations", str(store), "--expert", str(expert), "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert f"{expert}:3: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["share", "exposure", "delta"])
+def test_scenario_value_must_be_a_finite_number(tmp_path, capsys, key):
+    sector = {"id": "a", "share": 1.0, "exposure": 0.5, "delta": 0.1, key: "abc"}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"sectors": [sector]}))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == EXIT_INPUT
+    assert f"{scenario}: sector {key} 'abc'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -338,6 +409,25 @@ def test_malformed_mock_config_is_input_error(tmp_path, capsys, config):
     assert not out.exists()
 
 
+def test_validate_reports_non_utf8_input(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["validate", "--mock", str(bad)]) == EXIT_INPUT
+    assert f"mock: {bad}: " in capsys.readouterr().out
+    # The taxonomy is also read once up front, to resolve scripted mock answers.
+    assert main(["validate", "--taxonomy", str(bad), "--mock", MOCK]) == EXIT_INPUT
+    assert f"taxonomy: {bad}: " in capsys.readouterr().out
+
+
+def test_non_utf8_input_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfecode")
+    out = tmp_path / "o.csv"
+    assert main(["score", "--scores", str(bad), "--out", str(out)]) == EXIT_INPUT
+    assert "can't decode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- exit codes and atomicity ----------------------------------------------------
 
 
@@ -385,6 +475,19 @@ def test_every_subcommand_has_help(capsys):
             parser.parse_args([command, "--help"])
         assert err.value.code == 0
         assert "--" in capsys.readouterr().out
+
+
+def test_cli_imports_only_the_standard_library():
+    package_root = Path(lmexposure.__file__).parents[1]
+    code = (
+        "import sys, lmexposure.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 # --- determinism ----------------------------------------------------------------

@@ -7,7 +7,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -16,6 +16,7 @@ from lmexposure.labor_stats import (
     ConstantSeriesError,
     OutcomeKind,
     OutcomeSeries,
+    _t_tail_p,
     correlation_panel,
     pearson,
     read_outcome_csv,
@@ -117,6 +118,24 @@ def test_p_value_matches_scipy_oracle():
         assert ours.p_value == pytest.approx(p_ref, abs=1e-12)
 
 
+def test_t_tail_matches_mpmath_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    dfs = [1, 2, 3, 4, 5, 7, 10, 13, 30, 61, 100, 500, 1000, 1600, 1604, 1634, 3000]
+    ts = [0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 1.96, 2.5, 3.3, 5.0, 10.0, 40.0, 1e3, 1e5]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for df in dfs:
+            for t in ts:
+                x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+                ref = mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True)
+                ours = _t_tail_p(t, df)
+                if float(ref) == 0.0:  # below the double range
+                    assert ours == 0.0
+                    continue
+                worst = max(worst, float(abs(ours - ref) / ref))
+    assert worst <= 1e-12
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(ComputationError):
         pearson([1, 2, 3], [1, 2])
@@ -139,6 +158,7 @@ def test_too_few_pairs_rejected():
         lambda pairs: len({a for a, _ in pairs}) > 1 and len({b for _, b in pairs}) > 1
     ),
 )
+@example(pairs=[(0.0, 0.0), (0.0, 1.966492569076255e-117), (1.6795685095415578e-86, 0.0)])
 @settings(max_examples=60)
 def test_pearson_symmetry(pairs):
     x = [a for a, _ in pairs]
