@@ -15,7 +15,7 @@ from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ComputationError, InputFormatError, parse_finite
+from .errors import ComputationError, InputFormatError, open_text, parse_finite
 from .taxonomy import OccupationCode
 
 ROW_SUM_TOL = 1e-9
@@ -114,7 +114,7 @@ class DemographicShares:
 
 def _read_share_file(source: str | Path, key_column: str):
     path = str(source)
-    with open(source, encoding="utf-8", newline="") as handle:
+    with open_text(source, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -148,7 +148,7 @@ def _read_share_file(source: str | Path, key_column: str):
 
 def read_industry_names(source: str | Path) -> dict[str, str]:
     """Read an industry list with header ``industry_id,name``."""
-    with open(source, encoding="utf-8", newline="") as handle:
+    with open_text(source, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or not {"industry_id", "name"}.issubset(reader.fieldnames):
             raise InputFormatError(
@@ -160,7 +160,7 @@ def read_industry_names(source: str | Path) -> dict[str, str]:
 def read_industry_scores(source: str | Path) -> dict[str, float]:
     """Read an industry exposure file with header ``industry_id,score``."""
     path = str(source)
-    with open(source, encoding="utf-8", newline="") as handle:
+    with open_text(source, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or not {"industry_id", "score"}.issubset(reader.fieldnames):
             raise InputFormatError(

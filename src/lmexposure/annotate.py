@@ -16,14 +16,14 @@ from __future__ import annotations
 import json
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
-from .errors import ComputationError, InputFormatError
+from .errors import ComputationError, InputFormatError, open_text
 from .taxonomy import OccupationCode, OccupationNode, Taxonomy
 
 
@@ -181,8 +181,15 @@ def _collect_sample(
 
 
 def annotate_occupation(
+    client: ClassifierClient, node: OccupationNode, *, model_id: str, **kwargs
+) -> AnnotationRun:
+    """Collect the samples of one occupation; see ``annotate_nodes``."""
+    return annotate_nodes(client, [node], model_id=model_id, **kwargs)[0]
+
+
+def annotate_nodes(
     client: ClassifierClient,
-    node: OccupationNode,
+    nodes: Iterable[OccupationNode],
     *,
     model_id: str,
     rubric: str = DEFAULT_RUBRIC,
@@ -191,54 +198,39 @@ def annotate_occupation(
     max_retries: int = 2,
     in_flight: int = 1,
     decode_config: Mapping[str, object] | None = None,
-) -> AnnotationRun:
-    """Collect ``n_samples`` parsed categories for one occupation.
+) -> list[AnnotationRun]:
+    """Collect ``n_samples`` parsed categories per occupation on one work queue.
 
-    Each sample is an independent request; unparseable responses and
-    transport failures are retried up to ``max_retries`` times per sample.
-    When the client declares itself ``"concurrent"`` and ``in_flight`` > 1,
-    samples are dispatched on a thread pool and reassembled by sample index,
-    so the output order always equals request order.
+    Each (occupation, sample) job is an independent request, retried up to
+    ``max_retries`` times on unparseable responses and transport failures.
+    A ``"concurrent"`` client gets ``in_flight`` workers across all
+    occupations, any other client one worker taking the jobs in order.
+    Results are reassembled by index; the first failed sample cancels the
+    jobs not yet started.
     """
     if n_samples < 1:
         raise ComputationError(f"n_samples must be >= 1, got {n_samples}")
-    prompt_text = render_prompt(node, rubric, language_tag).text()
+    nodes = list(nodes)
+    prompts = [render_prompt(node, rubric, language_tag).text() for node in nodes]
     config = dict(decode_config or {})
-
-    concurrent = getattr(client, "capability", "serial") == "concurrent" and in_flight > 1
-    if concurrent:
-        results: list[tuple[ExposureCategory, str]] = [None] * n_samples  # type: ignore[list-item]
-        with ThreadPoolExecutor(max_workers=min(in_flight, n_samples)) as pool:
-            futures = {
-                pool.submit(_collect_sample, client, prompt_text, config, max_retries): i
-                for i in range(n_samples)
-            }
-            for future, i in futures.items():
-                results[i] = future.result()
-    else:
-        results = [
-            _collect_sample(client, prompt_text, config, max_retries)
+    concurrent = getattr(client, "capability", "serial") == "concurrent"
+    with ThreadPoolExecutor(max_workers=max(1, in_flight) if concurrent else 1) as pool:
+        futures = [
+            pool.submit(_collect_sample, client, prompt, config, max_retries)
+            for prompt in prompts
             for _ in range(n_samples)
         ]
-
-    return AnnotationRun(
-        model_id=model_id,
-        occupation_code=node.code,
-        samples=[cat for cat, _ in results],
-        raw_responses=[raw for _, raw in results],
-    )
-
-
-def annotate_nodes(
-    client: ClassifierClient,
-    nodes: Iterable[OccupationNode],
-    *,
-    model_id: str,
-    **kwargs,
-) -> list[AnnotationRun]:
-    """Annotate several occupations in order; see ``annotate_occupation``."""
+        try:
+            for future in as_completed(futures):
+                future.result()
+        except BaseException:  # a failed sample or an interrupt: drop the queue
+            pool.shutdown(cancel_futures=True)
+            raise
+    results = [future.result() for future in futures]
+    chunks = [results[i : i + n_samples] for i in range(0, len(results), n_samples)]
     return [
-        annotate_occupation(client, node, model_id=model_id, **kwargs) for node in nodes
+        AnnotationRun(model_id, node.code, [cat for cat, _ in chunk], [raw for _, raw in chunk])
+        for node, chunk in zip(nodes, chunks)
     ]
 
 
@@ -292,6 +284,11 @@ class ScriptedMockClient:
             if not answers:
                 raise InputFormatError(f"empty answer list for occupation {code!r}")
             title = taxonomy.node(code).title
+            if title in self._by_title:  # prompts carry only the title
+                other = next(c for c in answers_by_code if taxonomy.node(c).title == title)
+                raise InputFormatError(
+                    f"scripted codes {other!r} and {code!r} share the title {title!r}"
+                )
             self._by_title[title] = list(answers)
             self._calls[title] = 0
 
@@ -330,7 +327,8 @@ def load_mock_client(
     """
     path = str(source)
     try:
-        config = json.loads(Path(source).read_text(encoding="utf-8"))
+        with open_text(source) as handle:
+            config = json.load(handle)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid mock configuration JSON: {exc}", path=path)
     kind = config.get("kind") if isinstance(config, dict) else None
@@ -353,7 +351,7 @@ def load_mock_client(
         )
     try:
         return ScriptedMockClient(answers, taxonomy)
-    except KeyError as exc:  # a scripted code the taxonomy does not hold
+    except (KeyError, InputFormatError) as exc:  # e.g. a code the taxonomy does not hold
         raise InputFormatError(str(exc.args[0]), path=path) from None
 
 
@@ -412,7 +410,7 @@ def read_annotation_store(source: str | Path) -> list[AnnotationRun]:
     """Parse a JSON-lines annotation record file back into runs."""
     path = str(source)
     runs: list[AnnotationRun] = []
-    with open(source, encoding="utf-8") as handle:
+    with open_text(source) as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

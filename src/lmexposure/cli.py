@@ -24,7 +24,7 @@ from . import econ_model as econ
 from . import labor_stats as lstats
 from . import scores as sc
 from . import taxonomy as tax
-from .errors import ComputationError, InputFormatError, LmExposureError
+from .errors import ComputationError, InputFormatError, LmExposureError, open_text
 from .runio import atomic_write_text, dump_json, write_manifest
 
 EXIT_OK = 0
@@ -90,11 +90,16 @@ def _load_live_client(spec: str, model_id: str) -> ann.ClassifierClient:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if out.exists():
+        print(f"error: annotation store {out} already exists; pass a new --out", file=sys.stderr)
+        return EXIT_CONFIG
     config = RunConfig(command="annotate")
     taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
     rubric = ann.DEFAULT_RUBRIC
     if args.rubric:
-        rubric = config.add_input("rubric", args.rubric).read_text(encoding="utf-8")
+        with open_text(config.add_input("rubric", args.rubric)) as handle:
+            rubric = handle.read()
 
     live_spec = os.environ.get(CLIENT_ENV_VAR)
     if args.mock:
@@ -139,7 +144,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             )
         )
 
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     clock = ann.LogicalClock() if args.mock else ann.utc_now_iso
     store = ann.AnnotationStore(path=out, clock=clock)
@@ -457,14 +461,12 @@ def validate_inputs(args: argparse.Namespace) -> list[str]:
             loader(path)
         except LmExposureError as exc:
             diagnostics.append(f"{label}: {exc}")
-        except UnicodeDecodeError as exc:
-            diagnostics.append(f"{label}: {path}: not UTF-8 text: {exc}")
 
     taxonomy = None
     if args.taxonomy and Path(args.taxonomy).is_file():
         try:
             taxonomy = tax.load_taxonomy(args.taxonomy)
-        except (LmExposureError, UnicodeDecodeError):
+        except LmExposureError:
             taxonomy = None
     _check("taxonomy", args.taxonomy, tax.load_taxonomy)
     _check("scores", args.scores, sc.read_score_table)
@@ -540,7 +542,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default="glm,gpt4,internlm", help="comma-separated model ids")
     p.add_argument("--n-samples", type=int, default=8, help="samples per occupation (default 8)")
     p.add_argument("--max-retries", type=int, default=2, help="retries per sample (default 2)")
-    p.add_argument("--in-flight", type=int, default=1, help="concurrent requests for capable clients")
+    p.add_argument(
+        "--in-flight",
+        type=int,
+        default=1,
+        help="requests in flight across all occupations of one model, for concurrent clients",
+    )
     p.add_argument("--rubric", help="file with replacement rubric text")
     p.add_argument(
         "--level",
@@ -640,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InputFormatError, UnicodeDecodeError) as exc:
+    except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ComputationError as exc:

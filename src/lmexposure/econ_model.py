@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ComputationError, InputFormatError, parse_finite
+from .errors import ComputationError, InputFormatError, open_text, parse_finite
 
 SHARE_SUM_TOL = 1e-9
 
@@ -248,38 +248,33 @@ def contour_grid(
     """Aggregate growth for forced top-k adoption under uniform damage.
 
     ``sectors`` must already be sorted by decreasing exposure; at grid cell
-    (delta, ratio) the top floor(ratio * n) sectors are forced to adopt,
+    (delta, ratio) the top k = floor(ratio * n) sectors are forced to adopt,
     the rest stay on the old technology, and every sector's damage ratio is
-    replaced by delta.
+    replaced by delta. With prefix sums A_k = sum of share * g(exposure) and
+    B_k = sum of share over the top k sectors, the cell is
+    1 + (1 - delta) * A_k - B_k.
     """
     if not delta_grid or not adoption_ratio_grid:
         raise ComputationError("contour grids must be non-empty")
+    for delta in delta_grid:
+        if not 0.0 <= delta < 1.0:
+            raise ComputationError(f"damage ratio {delta} outside [0, 1)")
+    for ratio in adoption_ratio_grid:
+        if not 0.0 <= ratio <= 1.0:
+            raise ComputationError(f"adoption ratio {ratio} outside [0, 1]")
     exposures = [s.exposure for s in sectors]
     if any(a < b for a, b in zip(exposures, exposures[1:])):
         raise ComputationError("sectors must be sorted by decreasing exposure")
     check_share_sum(sectors)
-    n = len(sectors)
-    values: list[list[float]] = []
-    for delta in delta_grid:
-        swapped = [
-            Sector(
-                id=s.id,
-                output_share=s.output_share,
-                damage_ratio=delta,
-                exposure=s.exposure,
-            )
-            for s in sectors
-        ]
-        row = []
-        for ratio in adoption_ratio_grid:
-            k = math.floor(ratio * n)
-            decisions = [1] * k + [0] * (n - k)
-            row.append(aggregate_growth(swapped, law, decisions))
-        values.append(row)
+    a_sums, b_sums = [0.0], [0.0]
+    for s in sectors:
+        a_sums.append(a_sums[-1] + s.output_share * law(s.exposure))
+        b_sums.append(b_sums[-1] + s.output_share)
+    ks = [math.floor(ratio * len(sectors)) for ratio in adoption_ratio_grid]
     return ContourGrid(
         delta_grid=list(delta_grid),
         ratio_grid=list(adoption_ratio_grid),
-        values=values,
+        values=[[1.0 + (1.0 - delta) * a_sums[k] - b_sums[k] for k in ks] for delta in delta_grid],
     )
 
 
@@ -331,25 +326,41 @@ def load_scenario(
     """
     path = str(source)
     try:
-        config = json.loads(Path(source).read_text(encoding="utf-8"))
+        with open_text(path) as handle:
+            config = json.load(handle)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid scenario JSON: {exc}", path=path)
+    if not isinstance(config, dict):
+        raise InputFormatError("scenario must be a JSON object", path=path)
 
     law_spec = config.get("law", "exponential")
     if law_spec == "exponential" or (
         isinstance(law_spec, dict) and law_spec.get("kind") == "exponential"
     ):
-        rho = rho_override if rho_override is not None else float(config.get("rho", 1.0))
-        law: GrowthLaw = ExponentialGrowth(rho=rho)
+        rho = parse_finite(config.get("rho", 1.0), "rho", path)
+        law: GrowthLaw = ExponentialGrowth(rho=rho_override if rho_override is not None else rho)
     elif isinstance(law_spec, dict) and law_spec.get("kind") == "tabulated":
-        law = TabulatedGrowth(points=tuple((float(r), float(g)) for r, g in law_spec["points"]))
+        points = law_spec.get("points")
+        if not isinstance(points, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in points
+        ):
+            raise InputFormatError(
+                "tabulated law needs 'points' as a list of [exposure, factor] pairs", path=path
+            )
+        law = TabulatedGrowth(
+            points=tuple(tuple(parse_finite(v, "law point", path) for v in p) for p in points)
+        )
     else:
         raise InputFormatError(f"unknown growth law {law_spec!r}", path=path)
 
     kappa = config.get("damage_kappa")
+    if kappa is not None:
+        kappa = parse_finite(kappa, "damage_kappa", path)
     raw_sectors = config.get("sectors")
     if not raw_sectors:
         raise InputFormatError("scenario lists no sectors", path=path)
+    if not isinstance(raw_sectors, list) or not all(isinstance(s, dict) for s in raw_sectors):
+        raise InputFormatError("scenario sectors must be a list of objects", path=path)
 
     shares: list[float]
     if all("share" in s for s in raw_sectors):
@@ -374,7 +385,12 @@ def load_scenario(
                     "occupational scores were supplied",
                     path=path,
                 )
-            mix = {str(k): float(v) for k, v in spec["occupation_mix"].items()}
+            mix = spec["occupation_mix"]
+            if not isinstance(mix, dict):
+                raise InputFormatError(
+                    f"sector {sector_id!r} occupation_mix must be an object", path=path
+                )
+            mix = {str(k): parse_finite(v, "occupation_mix weight", path) for k, v in mix.items()}
             weight = sum(mix.values())
             if abs(weight - 1.0) > SHARE_SUM_TOL:
                 raise InputFormatError(
@@ -396,7 +412,7 @@ def load_scenario(
         if "delta" in spec:
             delta = parse_finite(spec["delta"], "sector delta", path)
         elif kappa is not None:
-            delta = float(kappa) * exposure
+            delta = kappa * exposure
         else:
             raise InputFormatError(
                 f"sector {sector_id!r} needs a delta (or set damage_kappa)", path=path

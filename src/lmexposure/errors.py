@@ -8,6 +8,9 @@ computing on otherwise well-formed inputs (``ComputationError``).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator, TextIO
 
 
 class LmExposureError(Exception):
@@ -39,3 +42,13 @@ def parse_finite(value: object, what: str, path: str, line: int | None = None) -
     if not math.isfinite(number):
         raise InputFormatError(f"{what} {value!r} is not a finite number", path=path, line=line)
     return number
+
+
+@contextmanager
+def open_text(source: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 input file; text that does not decode names the file."""
+    try:
+        with open(source, encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"not UTF-8 text: {exc}", path=str(source)) from None

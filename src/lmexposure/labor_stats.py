@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ComputationError, InputFormatError, parse_finite
+from .errors import ComputationError, InputFormatError, open_text, parse_finite
 from .taxonomy import OccupationCode
 
 # p-value cutoffs, most demanding first. Convention: * p<0.05, ** p<0.01,
@@ -254,7 +254,7 @@ def read_outcome_csv(source: str | Path) -> OutcomeSeries:
     """Read an outcome file: header ``code,<kind>``, one value per code."""
     path = str(source)
     kinds = {k.value for k in OutcomeKind}
-    with open(source, encoding="utf-8", newline="") as handle:
+    with open_text(source, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

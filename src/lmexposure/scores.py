@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .annotate import AnnotationRun, ExposureCategory
-from .errors import ComputationError, InputFormatError, parse_finite
+from .errors import ComputationError, InputFormatError, open_text, parse_finite
 from .taxonomy import OccupationCode
 
 POINT_VALUES: dict[ExposureCategory, float] = {
@@ -79,7 +79,7 @@ def read_expert_panel(source: str | Path) -> ExpertPanel:
     """Read a long-format expert score file with header ``code,score``."""
     path = str(source)
     scores: dict[str, list[float]] = {}
-    with open(source, encoding="utf-8", newline="") as handle:
+    with open_text(source, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or not {"code", "score"}.issubset(reader.fieldnames):
             raise InputFormatError(
@@ -201,7 +201,7 @@ def _parse_score(cell: str, column: str, path: str, line: int) -> float | None:
 def read_score_table(source: str | Path | io.TextIOBase) -> ScoreTable:
     """Read a score table file with the canonical header."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as handle:
+        with open_text(source, newline="") as handle:
             return _read_table(handle, str(source))
     return _read_table(source, getattr(source, "name", "<stream>"))
 

@@ -18,7 +18,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import ComputationError, InputFormatError
+from .errors import ComputationError, InputFormatError, open_text
 
 
 class Level(IntEnum):
@@ -157,7 +157,7 @@ def load_taxonomy(source: str | Path | io.TextIOBase) -> Taxonomy:
     """
     if isinstance(source, (str, Path)):
         path = str(source)
-        with open(source, encoding="utf-8", newline="") as handle:
+        with open_text(source, newline="") as handle:
             return _load(handle, path)
     return _load(source, getattr(source, "name", None))
 

@@ -20,6 +20,7 @@ from lmexposure.annotate import (
     LogicalClock,
     NoCategoryFound,
     ScriptedMockClient,
+    annotate_nodes,
     annotate_occupation,
     load_mock_client,
     parse_category,
@@ -180,6 +181,64 @@ def test_concurrent_dispatch_reassembles_by_index():
     for sample, raw in zip(run.samples, run.raw_responses):
         assert sample == parse_category(raw)
     assert sorted(r[-1] for r in run.raw_responses) == ["0"] * 4 + ["1"] * 4
+
+
+def _leaf_nodes(titles):
+    rows = "".join(f"2-{i:02d},{t},Does {t.lower()}.,false\n" for i, t in enumerate(titles, 1))
+    return load_taxonomy(
+        io.StringIO("code,title,description,excluded\n2,Pros,top,false\n" + rows)
+    ).leaves()
+
+
+def test_in_flight_spans_occupations():
+    class Gated:
+        """Holds every call until ``width`` calls have been in flight at once."""
+
+        capability = "concurrent"
+
+        def __init__(self, width):
+            self.width = width
+            self.in_flight = 0
+            self.peak = 0
+            self._cond = threading.Condition()
+
+        def complete(self, prompt_text, decode_config):
+            with self._cond:
+                self.in_flight += 1
+                self.peak = max(self.peak, self.in_flight)
+                self._cond.notify_all()
+                self._cond.wait_for(lambda: self.peak >= self.width, timeout=0.5)
+                self.in_flight -= 1
+            return "E2" if "Title B" in prompt_text else "E1"
+
+    client = Gated(4)
+    nodes = _leaf_nodes(["Title A", "Title B", "Title C"])
+    runs = annotate_nodes(client, nodes, model_id="m", n_samples=2, in_flight=4)
+    assert client.peak == 4
+    assert [run.occupation_code for run in runs] == [node.code for node in nodes]
+    assert [run.samples for run in runs] == [[E1, E1], [E2, E2], [E1, E1]]
+
+
+def test_failed_sample_cancels_the_queue():
+    class FailsFirstTitle:
+        capability = "concurrent"
+
+        def __init__(self):
+            self._lock = threading.Lock()
+            self.calls = 0
+
+        def complete(self, prompt_text, decode_config):
+            with self._lock:
+                self.calls += 1
+            time.sleep(0.001)
+            return "unclear" if "Title 0" in prompt_text else "E1"
+
+    client = FailsFirstTitle()
+    nodes = _leaf_nodes([f"Title {i}" for i in range(30)])
+    with pytest.raises(AnnotationError):
+        annotate_nodes(client, nodes, model_id="m", n_samples=8, max_retries=2, in_flight=4)
+    # 30 x 8 samples queued; the run stops once the first sample fails.
+    assert client.calls < 60
 
 
 # --- scripted mock and config loading ------------------------------------------

@@ -356,6 +356,31 @@ def test_contour_malformed_grid_is_input_error(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        (("--ratio-grid", "0:1.5:3"), "adoption ratio 1.5 outside [0, 1]"),
+        (("--delta-grid", "0,1"), "damage ratio 1.0 outside [0, 1)"),
+    ],
+)
+def test_contour_grid_out_of_range_is_compute_error(tmp_path, capsys, grid, message):
+    out = tmp_path / "contour.csv"
+    code = main(["contour", "--scenario", SCENARIO, *grid, "--out", str(out)])
+    assert code == EXIT_COMPUTE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"rho": "abc", "sectors": []}, [1]])
+def test_malformed_scenario_is_input_error(tmp_path, capsys, config):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(config))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == EXIT_INPUT
+    assert f"{scenario}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- validate ----------------------------------------------------------------
 
 
@@ -409,6 +434,23 @@ def test_malformed_mock_config_is_input_error(tmp_path, capsys, config):
     assert not out.exists()
 
 
+def test_scripted_mock_with_duplicate_titles_is_input_error(tmp_path, capsys):
+    taxonomy = tmp_path / "taxonomy.csv"
+    taxonomy.write_text(
+        "code,title,description,excluded\n2,Pros,top,false\n"
+        "2-01,Clerks,Files records.,false\n2-02,Clerks,Types letters.,false\n"
+    )
+    mock = _write_mock(tmp_path, {"kind": "scripted", "answers": {"2-01": ["E1"], "2-02": ["E0"]}})
+    assert main(["validate", "--taxonomy", str(taxonomy), "--mock", mock]) == EXIT_INPUT
+    assert f"mock: {mock}: scripted codes '2-01' and '2-02' share the title 'Clerks'" in (
+        capsys.readouterr().out
+    )
+    out = tmp_path / "store.jsonl"
+    code = main(["annotate", "--taxonomy", str(taxonomy), "--mock", mock, "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert not out.exists()
+
+
 def test_validate_reports_non_utf8_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{}")
@@ -424,7 +466,9 @@ def test_non_utf8_input_is_input_error(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfecode")
     out = tmp_path / "o.csv"
     assert main(["score", "--scores", str(bad), "--out", str(out)]) == EXIT_INPUT
-    assert "can't decode" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "can't decode" in err
+    assert f"{bad}: not UTF-8 text" in err
     assert not out.exists()
 
 
@@ -532,6 +576,19 @@ def test_fixed_seed_runs_are_byte_identical(tmp_path):
     # Manifests key inputs/outputs by role, so they are byte-identical too.
     for name in ("store.jsonl.manifest.json", "scores.csv.manifest.json"):
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
+
+
+def test_annotate_refuses_an_existing_store(tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    argv = [
+        "annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "glm",
+        "--n-samples", "1", "--out", str(store),
+    ]
+    assert main(argv) == EXIT_OK
+    before = store.read_bytes()
+    assert main(argv) == EXIT_CONFIG
+    assert str(store) in capsys.readouterr().err
+    assert store.read_bytes() == before
 
 
 # --- live client via environment ---------------------------------------------------

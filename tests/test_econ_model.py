@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -462,6 +463,26 @@ def test_scenario_errors(tmp_path):
     not_json.write_text("{nope")
     with pytest.raises(InputFormatError):
         load_scenario(not_json)
+
+    sector = {"id": "a", "share": 1.0, "exposure": 0.4, "delta": 0.1}
+    mixed = {"id": "a", "share": 1.0, "occupation_mix": {"2-01": "abc"}, "delta": 0.1}
+    malformed = {
+        "rho": {"rho": "abc", "sectors": [sector]},
+        "top_level": [1],
+        "sector": {"sectors": [1]},
+        "no_points": {"law": {"kind": "tabulated"}, "sectors": [sector]},
+        "short_point": {"law": {"kind": "tabulated", "points": [[0]]}, "sectors": [sector]},
+        "bad_point": {"law": {"kind": "tabulated", "points": [["x", 1]]}, "sectors": [sector]},
+        "nan_point": {"law": {"kind": "tabulated", "points": [[0, "nan"]]}, "sectors": [sector]},
+        "kappa": {"damage_kappa": "abc", "sectors": [{"id": "a", "share": 1.0, "exposure": 0.4}]},
+        "mix_weight": {"sectors": [mixed]},
+        "mix_shape": {"sectors": [{**mixed, "occupation_mix": [1]}]},
+    }
+    for name, config in malformed.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}: ")):
+            load_scenario(path, r_occ={"2-01": 0.5})
 
 
 def test_rho_override(tmp_path):
