@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 
 from lmexposure.labor_stats import correlation_panel, summarize
-from lmexposure.scores import ensemble, read_score_table
+from lmexposure.scores import read_score_table, recompute_ensemble
 from lmexposure.fixtures import fixture_path
 
+# The source tables' column order.
 MODELS = ("glm", "internlm", "gpt4")
 
 
@@ -50,9 +51,8 @@ def main() -> None:
         result = pearson([combined[c] for c in codes], [expert[c] for c in codes])
         print(f"\nEnsemble vs expert: corr.={result.r:.2f} (n={result.n}, {result.stars})")
 
-    worst = max(
-        abs(ensemble(row.per_model) - row.ensemble) for row in table.rows if row.ensemble
-    )
+    recomputed = recompute_ensemble(table).column("ensemble")
+    worst = max(abs(recomputed[c] - v) for c, v in combined.items() if v)
     print(f"Largest ensemble-column discrepancy: {worst:.2e}")
 
 

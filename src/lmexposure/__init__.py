@@ -49,7 +49,6 @@ from .labor_stats import (
 )
 from .scores import (
     ExpertPanel,
-    ExposureRecord,
     ScoreTable,
     category_points,
     ensemble,
@@ -72,7 +71,6 @@ __all__ = [
     "ExpertPanel",
     "ExponentialGrowth",
     "ExposureCategory",
-    "ExposureRecord",
     "FixedMockClient",
     "IntensityMatrix",
     "Level",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -33,8 +34,6 @@ EXIT_INPUT = 3
 EXIT_COMPUTE = 4
 
 CLIENT_ENV_VAR = "LMEXPOSURE_CLIENT"
-
-SCORE_COLUMNS = ("expert", "glm", "gpt4", "internlm", "ensemble")
 
 
 @dataclass
@@ -91,25 +90,29 @@ def _load_live_client(spec: str, model_id: str) -> ann.ClassifierClient:
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    if out.exists():
-        print(f"error: annotation store {out} already exists; pass a new --out", file=sys.stderr)
-        return EXIT_CONFIG
+    live_spec = os.environ.get(CLIENT_ENV_VAR)
+    model_ids = [m.strip() for m in args.models.split(",") if m.strip()]
+    unknown = [m for m in model_ids if m not in sc.MODEL_COLUMNS]
+    # Checked before any client is built, so a bad option costs no annotation.
+    for failed, message in (
+        (out.exists(), f"annotation store {out} already exists; pass a new --out"),
+        (not (args.mock or live_spec), f"no classifier client: pass --mock or set {CLIENT_ENV_VAR}"),
+        (args.n_samples < 1, f"--n-samples must be at least 1, got {args.n_samples}"),
+        (args.max_retries < 0, f"--max-retries must be at least 0, got {args.max_retries}"),
+        (not model_ids, f"--models names no model: {args.models!r}"),
+        (unknown, f"--models {unknown} have no score column; use {list(sc.MODEL_COLUMNS)}"),
+    ):
+        if failed:
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_CONFIG
     config = RunConfig(command="annotate")
     taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
     rubric = ann.DEFAULT_RUBRIC
     if args.rubric:
         with open_text(config.add_input("rubric", args.rubric)) as handle:
             rubric = handle.read()
-
-    live_spec = os.environ.get(CLIENT_ENV_VAR)
     if args.mock:
         config.add_input("mock", args.mock)
-    elif not live_spec:
-        print(
-            f"error: no classifier client: pass --mock or set {CLIENT_ENV_VAR}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
 
     if args.level == "leaf":
         nodes = taxonomy.leaves()
@@ -125,7 +128,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     if not nodes:
         raise ComputationError("no annotatable occupations at the requested level")
 
-    model_ids = [m.strip() for m in args.models.split(",") if m.strip()]
     runs: list[ann.AnnotationRun] = []
     for model_id in model_ids:
         if args.mock:
@@ -169,17 +171,16 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     if args.annotations:
         runs = ann.read_annotation_store(config.add_input("annotations", args.annotations))
-        records = sc.records_from_runs(runs)
         titles = {}
         if args.taxonomy:
             taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
             titles = {code: node.title for code, node in taxonomy.index.items()}
-        table = sc.table_from_records(records, titles)
+        table = sc.ScoreTable(rows=sc.records_from_runs(runs, titles))
         if args.expert:
             panel = sc.read_expert_panel(config.add_input("expert", args.expert))
             for row in table.rows:
                 if row.code in panel.scores:
-                    row.expert = sc.expert_mean(panel, row.code)
+                    row.scores["expert"] = sc.expert_mean(panel, row.code)
     else:
         table = sc.recompute_ensemble(
             sc.read_score_table(config.add_input("scores", args.scores))
@@ -283,7 +284,7 @@ def _corr_payload(result: lstats.CorrResult) -> dict[str, object]:
 
 def _summary_payload(table: sc.ScoreTable) -> dict[str, object]:
     """Per-column count/mean/std and every pairwise correlation."""
-    columns = {name: table.column(name) for name in SCORE_COLUMNS if table.column(name)}
+    columns = {name: table.column(name) for name in sc.SCORE_COLUMNS if table.column(name)}
     summary = {
         name: {
             "count": (entry := lstats.summarize(list(values.values()))).count,
@@ -353,6 +354,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _scenario_inputs(args: argparse.Namespace, config: RunConfig):
+    if args.rho is not None and not math.isfinite(args.rho):
+        raise InputFormatError(f"--rho must be a finite number, got {args.rho}")
     r_occ = None
     if args.scores:
         r_occ = _read_scores_column(config.add_input("scores", args.scores), args.column)
@@ -402,16 +405,22 @@ def _parse_grid(spec: str | None, default: list[float]) -> list[float]:
     if spec is None:
         return default
     try:
-        if ":" not in spec:
-            return [float(v) for v in spec.split(",")]
-        lo_s, hi_s, n_s = spec.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+        if ":" in spec:
+            lo_s, hi_s, n_s = spec.split(":")
+            values, n = [float(lo_s), float(hi_s)], int(n_s)
+        else:
+            values, n = [float(v) for v in spec.split(",")], None
+        if not all(map(math.isfinite, values)):
+            raise ValueError
     except ValueError:
         raise InputFormatError(
             f"grid must be lo:hi:n or a comma-separated list of numbers, got {spec!r}"
         ) from None
+    if n is None:
+        return values
     if n < 1:
         raise InputFormatError(f"grid needs at least one point, got {n}")
+    lo, hi = values
     if n == 1:
         return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
@@ -570,14 +579,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aggregate", help="roll leaf scores up the taxonomy")
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--scores", required=True, help="score table supplying leaf scores")
-    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
     _add_common(p)
     p.set_defaults(handler=cmd_aggregate)
 
     p = sub.add_parser("industry", help="project occupational scores onto industries")
     p.add_argument("--intensity", required=True, help="industry x occupation share matrix CSV")
     p.add_argument("--scores", required=True)
-    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
     p.add_argument("--industries", help="optional industry id/name list for labeling")
     _add_common(p)
     p.set_defaults(handler=cmd_industry)
@@ -591,10 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="summary panels, correlations, scatter reports")
     p.add_argument("--scores", required=True)
     p.add_argument(
-        "--pair", nargs=2, metavar=("A", "B"), choices=SCORE_COLUMNS, help="correlate two columns"
+        "--pair", nargs=2, metavar=("A", "B"), choices=sc.SCORE_COLUMNS, help="correlate two columns"
     )
     p.add_argument("--outcomes", help="outcome CSV (code,<kind>) for a scatter report")
-    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
     p.add_argument("--plot-data", help="also write (x,y,label) triples to this path")
     _add_common(p)
     p.set_defaults(handler=cmd_stats)
@@ -602,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="solve adoption decisions for a scenario")
     p.add_argument("--scenario", required=True, help="scenario JSON")
     p.add_argument("--scores", help="score table for occupation-mix exposures")
-    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
     p.add_argument("--rho", type=float, default=None, help="override the exponential law rho")
     _add_common(p)
     p.set_defaults(handler=cmd_simulate)
@@ -610,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contour", help="growth over a damage x adoption-ratio grid")
     p.add_argument("--scenario", required=True)
     p.add_argument("--scores", help="score table for occupation-mix exposures")
-    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--delta-grid", help="lo:hi:n or comma list (default 0:0.95:21)")
     p.add_argument("--ratio-grid", help="lo:hi:n or comma list (default 0:1:21)")
@@ -632,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--intensity", required=True)
-    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
     p.add_argument("--outdir", required=True, help="directory for the four output files")
     p.add_argument("--full-precision", action="store_true")
     p.set_defaults(handler=cmd_pipeline)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -28,8 +28,9 @@ POINT_VALUES: dict[ExposureCategory, float] = {
 }
 
 # Column order of the canonical score table file.
-SCORE_TABLE_HEADER = ("code", "title", "expert", "glm", "gpt4", "internlm", "ensemble")
 MODEL_COLUMNS = ("glm", "gpt4", "internlm")
+SCORE_COLUMNS = ("expert", *MODEL_COLUMNS, "ensemble")
+SCORE_TABLE_HEADER = ("code", "title", *SCORE_COLUMNS)
 
 
 def category_points(category: ExposureCategory) -> float:
@@ -56,7 +57,6 @@ class ExpertPanel:
     """Individual expert scores per occupation code."""
 
     scores: dict[str, list[float]]
-    panel_size: int
 
     def __post_init__(self) -> None:
         for code, values in self.scores.items():
@@ -75,6 +75,14 @@ def expert_mean(panel: ExpertPanel, code: str) -> float:
     return sum(values) / len(values)
 
 
+def _parse_score(cell: str | None, what: str, path: str, line: int) -> float:
+    """One score in [0, 1], or an InputFormatError at ``path:line``."""
+    value = parse_finite(cell, what, path, line)
+    if not 0.0 <= value <= 1.0:
+        raise InputFormatError(f"{what} {value} is outside [0, 1]", path=path, line=line)
+    return value
+
+
 def read_expert_panel(source: str | Path) -> ExpertPanel:
     """Read a long-format expert score file with header ``code,score``."""
     path = str(source)
@@ -89,60 +97,9 @@ def read_expert_panel(source: str | Path) -> ExpertPanel:
             )
         for row in reader:
             code = OccupationCode.parse(row["code"]).raw
-            value = parse_finite(row["score"], "expert score", path, reader.line_num)
+            value = _parse_score(row["score"], "expert score", path, reader.line_num)
             scores.setdefault(code, []).append(value)
-    panel_size = max((len(v) for v in scores.values()), default=0)
-    return ExpertPanel(scores=scores, panel_size=panel_size)
-
-
-@dataclass
-class ExposureRecord:
-    """Canonical per-occupation score record."""
-
-    code: OccupationCode
-    per_model_score: dict[str, float] = field(default_factory=dict)
-    ensemble_score: float = 0.0
-    expert_score: float | None = None
-    title: str = ""
-
-    @classmethod
-    def from_samples(
-        cls,
-        code: OccupationCode,
-        per_model_samples: Mapping[str, Sequence[ExposureCategory]],
-        expert_score: float | None = None,
-        title: str = "",
-    ) -> "ExposureRecord":
-        per_model = {m: model_score(s) for m, s in per_model_samples.items()}
-        return cls(
-            code=code,
-            per_model_score=per_model,
-            ensemble_score=ensemble(per_model),
-            expert_score=expert_score,
-            title=title,
-        )
-
-
-def records_from_runs(runs: Iterable[AnnotationRun]) -> list[ExposureRecord]:
-    """Group annotation runs by occupation and score them.
-
-    Runs for the same (model, occupation) pair are pooled into one sample
-    list in record order.
-    """
-    samples: dict[str, dict[str, list[ExposureCategory]]] = {}
-    codes: dict[str, OccupationCode] = {}
-    for run in runs:
-        codes[run.occupation_code.raw] = run.occupation_code
-        per_model = samples.setdefault(run.occupation_code.raw, {})
-        per_model.setdefault(run.model_id, []).extend(run.samples)
-
-    def _key(raw: str) -> tuple[int, ...]:
-        return tuple(int(seg) for seg in raw.split("-"))
-
-    return [
-        ExposureRecord.from_samples(codes[raw], samples[raw])
-        for raw in sorted(samples, key=_key)
-    ]
+    return ExpertPanel(scores=scores)
 
 
 # --- score table file --------------------------------------------------------
@@ -150,13 +107,11 @@ def records_from_runs(runs: Iterable[AnnotationRun]) -> list[ExposureRecord]:
 
 @dataclass
 class ScoreRow:
-    """One row of the canonical score table."""
+    """One row of the canonical score table; an empty cell has no key."""
 
     code: str
     title: str
-    expert: float | None
-    per_model: dict[str, float]
-    ensemble: float | None
+    scores: dict[str, float]
 
 
 @dataclass
@@ -167,35 +122,43 @@ class ScoreTable:
 
     def column(self, name: str) -> dict[str, float]:
         """Non-missing values of one column, keyed by occupation code."""
-        out: dict[str, float] = {}
-        for row in self.rows:
-            value: float | None
-            if name == "expert":
-                value = row.expert
-            elif name == "ensemble":
-                value = row.ensemble
-            elif name in MODEL_COLUMNS:
-                value = row.per_model.get(name)
-            else:
-                raise KeyError(f"unknown score column {name!r}")
-            if value is not None:
-                out[row.code] = value
-        return out
+        if name not in SCORE_COLUMNS:
+            raise KeyError(f"unknown score column {name!r}")
+        return {row.code: row.scores[name] for row in self.rows if name in row.scores}
 
     def titles(self) -> dict[str, str]:
         return {row.code: row.title for row in self.rows}
 
 
-def _parse_score(cell: str, column: str, path: str, line: int) -> float | None:
-    cell = cell.strip()
-    if not cell:
-        return None
-    value = parse_finite(cell, f"{column} value", path, line)
-    if not 0.0 <= value <= 1.0:
-        raise InputFormatError(
-            f"{column} value {value} is outside [0, 1]", path=path, line=line
-        )
-    return value
+def records_from_runs(
+    runs: Iterable[AnnotationRun], titles: Mapping[str, str] | None = None
+) -> list[ScoreRow]:
+    """Score annotation runs: one row per occupation, in code order.
+
+    Runs for the same (model, occupation) pair are pooled into one sample
+    list in record order. The ensemble sums the models in the order they
+    first appear. A model id outside ``MODEL_COLUMNS`` has no column in the
+    score table and raises ``InputFormatError``.
+    """
+    samples: dict[str, dict[str, list[ExposureCategory]]] = {}
+    for run in runs:
+        if run.model_id not in MODEL_COLUMNS:
+            raise InputFormatError(
+                f"score table columns support models {list(MODEL_COLUMNS)}, "
+                f"got {run.model_id!r}"
+            )
+        per_model = samples.setdefault(run.occupation_code.raw, {})
+        per_model.setdefault(run.model_id, []).extend(run.samples)
+
+    def _key(raw: str) -> tuple[int, ...]:
+        return tuple(int(seg) for seg in raw.split("-"))
+
+    rows = []
+    for raw in sorted(samples, key=_key):
+        scores = {m: model_score(s) for m, s in samples[raw].items()}
+        scores["ensemble"] = ensemble(scores)
+        rows.append(ScoreRow(code=raw, title=(titles or {}).get(raw, ""), scores=scores))
+    return rows
 
 
 def read_score_table(source: str | Path | io.TextIOBase) -> ScoreTable:
@@ -222,20 +185,12 @@ def _read_table(handle, path: str) -> ScoreTable:
         if code in seen:
             raise InputFormatError(f"duplicate code {code!r}", path=path, line=line)
         seen.add(code)
-        per_model = {}
-        for model in MODEL_COLUMNS:
-            value = _parse_score(row[model] or "", model, path, line)
-            if value is not None:
-                per_model[model] = value
-        rows.append(
-            ScoreRow(
-                code=code,
-                title=row["title"] or "",
-                expert=_parse_score(row["expert"] or "", "expert", path, line),
-                per_model=per_model,
-                ensemble=_parse_score(row["ensemble"] or "", "ensemble", path, line),
-            )
-        )
+        scores = {
+            name: _parse_score(cell, f"{name} value", path, line)
+            for name in SCORE_COLUMNS
+            if (cell := (row[name] or "").strip())
+        }
+        rows.append(ScoreRow(code=code, title=row["title"] or "", scores=scores))
     return ScoreTable(rows=rows)
 
 
@@ -251,61 +206,18 @@ def render_score_table(table: ScoreTable, full_precision: bool = False) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SCORE_TABLE_HEADER)
     for row in table.rows:
-        writer.writerow(
-            [
-                row.code,
-                row.title,
-                format_score(row.expert, full_precision),
-                *(
-                    format_score(row.per_model.get(m), full_precision)
-                    for m in MODEL_COLUMNS
-                ),
-                format_score(row.ensemble, full_precision),
-            ]
-        )
+        cells = (format_score(row.scores.get(name), full_precision) for name in SCORE_COLUMNS)
+        writer.writerow([row.code, row.title, *cells])
     return buffer.getvalue()
-
-
-def table_from_records(
-    records: Iterable[ExposureRecord], titles: Mapping[str, str] | None = None
-) -> ScoreTable:
-    """Build a writable score table from exposure records.
-
-    The file layout has fixed per-model columns; records carrying model ids
-    outside that set cannot be serialized and raise ``InputFormatError``.
-    """
-    titles = dict(titles or {})
-    rows = []
-    for record in records:
-        unknown = set(record.per_model_score) - set(MODEL_COLUMNS)
-        if unknown:
-            raise InputFormatError(
-                f"score table columns support models {list(MODEL_COLUMNS)}, "
-                f"got {sorted(unknown)}"
-            )
-        rows.append(
-            ScoreRow(
-                code=record.code.raw,
-                title=record.title or titles.get(record.code.raw, ""),
-                expert=record.expert_score,
-                per_model=dict(record.per_model_score),
-                ensemble=record.ensemble_score,
-            )
-        )
-    return ScoreTable(rows=rows)
 
 
 def recompute_ensemble(table: ScoreTable) -> ScoreTable:
     """Return a copy of the table with the ensemble column recomputed."""
     rows = []
     for row in table.rows:
-        rows.append(
-            ScoreRow(
-                code=row.code,
-                title=row.title,
-                expert=row.expert,
-                per_model=dict(row.per_model),
-                ensemble=ensemble(row.per_model) if row.per_model else None,
-            )
-        )
+        scores = {name: v for name, v in row.scores.items() if name != "ensemble"}
+        models = {name: v for name, v in scores.items() if name in MODEL_COLUMNS}
+        if models:
+            scores["ensemble"] = ensemble(models)
+        rows.append(ScoreRow(code=row.code, title=row.title, scores=scores))
     return ScoreTable(rows=rows)

@@ -30,7 +30,7 @@ from lmexposure.econ_model import (
     optimal_decisions,
 )
 from lmexposure.labor_stats import pearson, summarize
-from lmexposure.scores import ensemble, read_score_table
+from lmexposure.scores import MODEL_COLUMNS, ensemble, read_score_table
 from lmexposure.taxonomy import aggregate_up, load_taxonomy
 
 
@@ -55,10 +55,11 @@ def test_criterion_1_ensemble_consistency(score_table):
     with criterion(1, "ensemble reproduces the published combined column within 5e-4", 1.0):
         assert len(score_table.rows) == 63
         for row in score_table.rows:
-            assert ensemble(row.per_model) == pytest.approx(row.ensemble, abs=5e-4), row.code
-        by_code = {row.code: row for row in score_table.rows}
-        assert by_code["2-06"].ensemble == pytest.approx(0.4796, abs=5e-4)
-        assert by_code["2-08"].ensemble == pytest.approx(0.4805, abs=5e-4)
+            per_model = {m: row.scores[m] for m in MODEL_COLUMNS}
+            assert ensemble(per_model) == pytest.approx(row.scores["ensemble"], abs=5e-4), row.code
+        by_code = {row.code: row.scores for row in score_table.rows}
+        assert by_code["2-06"]["ensemble"] == pytest.approx(0.4796, abs=5e-4)
+        assert by_code["2-08"]["ensemble"] == pytest.approx(0.4805, abs=5e-4)
 
 
 def test_criterion_2_summary_statistics(score_table):
@@ -330,8 +331,8 @@ def test_criterion_9_annotation_determinism(tmp_path):
 
         scored = read_score_table(table_a)
         by_code = {row.code: row for row in scored.rows}
-        assert by_code["2-01"].per_model["glm"] == 1.0  # E1 x 8
-        assert by_code["2-02"].per_model["glm"] == 0.5  # 4 x E1 + 4 x E0
+        assert by_code["2-01"].scores["glm"] == 1.0  # E1 x 8
+        assert by_code["2-02"].scores["glm"] == 0.5  # 4 x E1 + 4 x E0
 
         assert store_a.read_bytes() == store_b.read_bytes()
         assert table_a.read_bytes() == table_b.read_bytes()

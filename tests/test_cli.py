@@ -47,7 +47,7 @@ def test_score_reproduces_published_ensemble(tmp_path):
     table = read_score_table(out)
     published = read_score_table(SCORES)
     for ours, ref in zip(table.rows, published.rows):
-        assert ours.ensemble == pytest.approx(ref.ensemble, abs=5e-4)
+        assert ours.scores["ensemble"] == pytest.approx(ref.scores["ensemble"], abs=5e-4)
     manifest = json.loads((tmp_path / "scores.csv.manifest.json").read_text())
     assert manifest["command"] == "score"
     assert "scores" in manifest["inputs"] and "scores" in manifest["outputs"]
@@ -77,7 +77,7 @@ def test_score_from_annotation_store(tmp_path):
     )
     table = read_score_table(out)
     assert len(table.rows) == 63
-    assert all(row.per_model["glm"] == 1.0 for row in table.rows)
+    assert all(row.scores["glm"] == 1.0 for row in table.rows)
     assert table.rows[0].title == "Scientific Researchers"
 
 
@@ -265,7 +265,7 @@ def test_nan_share_is_input_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["abc", "nan"])
+@pytest.mark.parametrize("bad", ["abc", "nan", "1.5", "-0.1"])
 def test_expert_score_must_be_a_finite_number(tmp_path, capsys, bad):
     store = tmp_path / "store.jsonl"
     mock = _write_mock(tmp_path, {"kind": "fixed", "answer": "E1"})
@@ -346,7 +346,16 @@ def test_contour_output_shape(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "grid", [("--delta-grid", "0:1"), ("--ratio-grid", "a:b:3"), ("--delta-grid", "0,x")]
+    "grid",
+    [
+        ("--delta-grid", "0:1"),
+        ("--ratio-grid", "a:b:3"),
+        ("--delta-grid", "0,x"),
+        ("--delta-grid", "0,nan"),
+        ("--ratio-grid", "0,inf"),
+        ("--delta-grid", "0:inf:3"),
+        ("--ratio-grid", "nan:1:1"),
+    ],
 )
 def test_contour_malformed_grid_is_input_error(tmp_path, capsys, grid):
     out = tmp_path / "contour.csv"
@@ -368,6 +377,16 @@ def test_contour_grid_out_of_range_is_compute_error(tmp_path, capsys, grid, mess
     code = main(["contour", "--scenario", SCENARIO, *grid, "--out", str(out)])
     assert code == EXIT_COMPUTE
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "contour"])
+@pytest.mark.parametrize("rho", ["inf", "-inf", "nan"])
+def test_non_finite_rho_is_input_error(tmp_path, capsys, command, rho):
+    out = tmp_path / "out"
+    code = main([command, "--scenario", SCENARIO, f"--rho={rho}", "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert "--rho" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -576,6 +595,29 @@ def test_fixed_seed_runs_are_byte_identical(tmp_path):
     # Manifests key inputs/outputs by role, so they are byte-identical too.
     for name in ("store.jsonl.manifest.json", "scores.csv.manifest.json"):
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "option,value,named",
+    [
+        ("--n-samples", "0", "--n-samples"),
+        ("--max-retries", "-1", "--max-retries"),
+        ("--models", ",", "--models"),
+        ("--models", "glm,gpt5", "gpt5"),
+    ],
+)
+def test_annotate_rejects_bad_options_before_building_a_client(
+    tmp_path, capsys, monkeypatch, option, value, named
+):
+    def no_client(*args):
+        raise AssertionError("a client was built")
+
+    monkeypatch.setattr(lmexposure.annotate, "load_mock_client", no_client)
+    store = tmp_path / "store.jsonl"
+    argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "glm"]
+    assert main([*argv, option, value, "--out", str(store)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_annotate_refuses_an_existing_store(tmp_path, capsys):

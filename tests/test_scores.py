@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from lmexposure.annotate import AnnotationRun, ExposureCategory
 from lmexposure.errors import ComputationError, InputFormatError
 from lmexposure.scores import (
+    MODEL_COLUMNS,
     ExpertPanel,
-    ExposureRecord,
     category_points,
     ensemble,
     expert_mean,
@@ -23,7 +23,6 @@ from lmexposure.scores import (
     records_from_runs,
     recompute_ensemble,
     render_score_table,
-    table_from_records,
 )
 from lmexposure.taxonomy import OccupationCode
 
@@ -90,7 +89,8 @@ def test_ensemble_empty_rejected():
 def test_all_63_rows_reproduce_published_ensemble(score_table):
     assert len(score_table.rows) == 63
     for row in score_table.rows:
-        assert ensemble(row.per_model) == pytest.approx(row.ensemble, abs=5e-4), row.code
+        per_model = {m: row.scores[m] for m in MODEL_COLUMNS}
+        assert ensemble(per_model) == pytest.approx(row.scores["ensemble"], abs=5e-4), row.code
 
 
 @given(
@@ -111,7 +111,7 @@ def test_ensemble_model_relabeling_invariant(per_model):
 
 
 def test_expert_mean_examples():
-    panel = ExpertPanel(scores={"2-06": [0.4, 0.6], "2-08": [0.2] * 21}, panel_size=21)
+    panel = ExpertPanel(scores={"2-06": [0.4, 0.6], "2-08": [0.2] * 21})
     assert expert_mean(panel, "2-06") == pytest.approx(0.5)
     assert expert_mean(panel, "2-08") == pytest.approx(0.2)
 
@@ -119,7 +119,7 @@ def test_expert_mean_examples():
 def test_expert_mean_synthetic_panel_matches_sum_oracle():
     rng = random.Random(7)
     values = [rng.choice([0, 0.2, 0.4, 0.6, 0.8, 1.0]) for _ in range(21)]
-    panel = ExpertPanel(scores={"2-01": values}, panel_size=21)
+    panel = ExpertPanel(scores={"2-01": values})
     total = 0.0
     for v in values:
         total += v
@@ -127,55 +127,66 @@ def test_expert_mean_synthetic_panel_matches_sum_oracle():
 
 
 def test_expert_mean_unknown_code():
-    panel = ExpertPanel(scores={}, panel_size=0)
+    panel = ExpertPanel(scores={})
     with pytest.raises(ComputationError):
         expert_mean(panel, "9-99")
 
 
 def test_expert_panel_range_validated():
     with pytest.raises(ComputationError):
-        ExpertPanel(scores={"2-01": [1.2]}, panel_size=1)
+        ExpertPanel(scores={"2-01": [1.2]})
 
 
 def test_read_expert_panel(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("code,score\n2-01,0.4\n2-01,0.6\n2-02,1.0\n")
     panel = read_expert_panel(path)
-    assert panel.panel_size == 2
+    assert panel.scores == {"2-01": [0.4, 0.6], "2-02": [1.0]}
     assert expert_mean(panel, "2-01") == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("bad", ["1.5", "-0.1"])
+def test_read_expert_panel_rejects_out_of_range(tmp_path, bad):
+    path = tmp_path / "panel.csv"
+    path.write_text(f"code,score\n2-01,0.4\n2-02,{bad}\n")
+    with pytest.raises(InputFormatError, match=f"^{path}:3: expert score .* outside"):
+        read_expert_panel(path)
 
 
 # --- records --------------------------------------------------------------------
 
 
-def test_record_from_samples():
-    record = ExposureRecord.from_samples(
-        OccupationCode.parse("2-06"),
-        {"glm": [E1] * 8, "gpt4": [E1] * 4 + [E0] * 4},
+def _run(model, code, samples):
+    return AnnotationRun(
+        model_id=model,
+        occupation_code=OccupationCode.parse(code),
+        samples=samples,
+        raw_responses=[s.value for s in samples],
     )
-    assert record.per_model_score == {"glm": 1.0, "gpt4": 0.5}
-    assert record.ensemble_score == pytest.approx(0.75)
+
+
+def test_record_from_samples():
+    (row,) = records_from_runs(
+        [_run("glm", "2-06", [E1] * 8), _run("gpt4", "2-06", [E1] * 4 + [E0] * 4)],
+        {"2-06": "Title"},
+    )
+    per_model = {m: v for m, v in row.scores.items() if m in MODEL_COLUMNS}
+    assert per_model == {"glm": 1.0, "gpt4": 0.5}
+    assert row.scores["ensemble"] == pytest.approx(0.75)
+    assert "expert" not in row.scores and row.title == "Title"
 
 
 def test_records_from_runs_groups_and_orders():
-    def run(model, code, samples):
-        return AnnotationRun(
-            model_id=model,
-            occupation_code=OccupationCode.parse(code),
-            samples=samples,
-            raw_responses=[s.value for s in samples],
-        )
-
     records = records_from_runs(
         [
-            run("glm", "2-10", [E1, E1]),
-            run("glm", "2-02", [E0, E0]),
-            run("gpt4", "2-02", [E2, E2]),
-            run("glm", "2-02", [E1, E1]),  # pooled with the earlier glm run
+            _run("glm", "2-10", [E1, E1]),
+            _run("glm", "2-02", [E0, E0]),
+            _run("gpt4", "2-02", [E2, E2]),
+            _run("glm", "2-02", [E1, E1]),  # pooled with the earlier glm run
         ]
     )
-    assert [r.code.raw for r in records] == ["2-02", "2-10"]
-    assert records[0].per_model_score == {"glm": 0.5, "gpt4": 0.5}
+    assert [r.code for r in records] == ["2-02", "2-10"]
+    assert records[0].scores == {"glm": 0.5, "gpt4": 0.5, "ensemble": 0.5}
 
 
 # --- table IO -------------------------------------------------------------------
@@ -186,8 +197,7 @@ def test_fixture_roundtrip_at_four_decimals(score_table):
     again = read_score_table(io.StringIO(text))
     for a, b in zip(score_table.rows, again.rows):
         assert a.code == b.code and a.title == b.title
-        assert a.per_model == b.per_model
-        assert a.expert == b.expert
+        assert a.scores == b.scores
 
 
 def test_full_precision_roundtrip(score_table):
@@ -195,7 +205,7 @@ def test_full_precision_roundtrip(score_table):
     text = render_score_table(table, full_precision=True)
     again = read_score_table(io.StringIO(text))
     for a, b in zip(table.rows, again.rows):
-        assert a.ensemble == b.ensemble  # exact, not 4-decimal
+        assert a.scores["ensemble"] == b.scores["ensemble"]  # exact, not 4-decimal
 
 
 def test_four_decimal_presentation(score_table):
@@ -205,9 +215,8 @@ def test_four_decimal_presentation(score_table):
 
 
 def test_table_rejects_unknown_model_column():
-    record = ExposureRecord.from_samples(OccupationCode.parse("2-01"), {"mystery": [E1]})
     with pytest.raises(InputFormatError):
-        table_from_records([record])
+        records_from_runs([_run("mystery", "2-01", [E1])])
 
 
 def test_read_rejects_bad_header():
