@@ -23,7 +23,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
-from .errors import ComputationError, InputFormatError, open_text
+from .errors import ComputationError, InputFormatError, LmExposureError, open_text
+from .scores import MODEL_COLUMNS
 from .taxonomy import OccupationCode, OccupationNode, Taxonomy
 
 
@@ -407,7 +408,13 @@ class AnnotationStore:
 
 
 def read_annotation_store(source: str | Path) -> list[AnnotationRun]:
-    """Parse a JSON-lines annotation record file back into runs."""
+    """Parse a JSON-lines annotation record file back into runs.
+
+    A record that is not an object, lacks a field, has a model id outside
+    ``MODEL_COLUMNS``, a malformed code, an unknown category, non-string raw
+    responses or a sample count that differs from its responses raises
+    ``InputFormatError`` at ``path:line``.
+    """
     path = str(source)
     runs: list[AnnotationRun] = []
     with open_text(source) as handle:
@@ -415,17 +422,28 @@ def read_annotation_store(source: str | Path) -> list[AnnotationRun]:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                runs.append(
-                    AnnotationRun(
-                        model_id=record["model_id"],
-                        occupation_code=OccupationCode.parse(record["code"]),
-                        samples=[ExposureCategory(v) for v in record["samples"]],
-                        raw_responses=list(record["raw_responses"]),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
+                runs.append(_record_to_run(json.loads(line)))
+            except (KeyError, TypeError, ValueError, LmExposureError) as exc:
                 raise InputFormatError(
                     f"bad annotation record: {exc}", path=path, line=line_no
                 ) from None
     return runs
+
+
+def _record_to_run(record: object) -> AnnotationRun:
+    if not isinstance(record, dict):
+        raise TypeError(f"expected a JSON object, got {record!r}")
+    model_id, code, responses = record["model_id"], record["code"], record["raw_responses"]
+    if model_id not in MODEL_COLUMNS:
+        raise ValueError(f"model {model_id!r} has no score column; use {list(MODEL_COLUMNS)}")
+    if not isinstance(code, str):
+        raise TypeError(f"code must be a string, got {code!r}")
+    if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
+        raise TypeError(f"raw_responses must be a list of strings, got {responses!r}")
+    # AnnotationRun checks that samples and responses align one-to-one.
+    return AnnotationRun(
+        model_id=model_id,
+        occupation_code=OccupationCode.parse(code),
+        samples=[ExposureCategory(v) for v in record["samples"]],
+        raw_responses=responses,
+    )

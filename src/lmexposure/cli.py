@@ -18,15 +18,21 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import aggregate as agg
-from . import annotate as ann
-from . import econ_model as econ
-from . import labor_stats as lstats
+# Only what every command needs is imported here; scores loads taxonomy
+# anyway. Each handler imports the stage modules it runs, so a command does
+# not pay interpreter start-up for the stages it never calls.
 from . import scores as sc
 from . import taxonomy as tax
 from .errors import ComputationError, InputFormatError, LmExposureError, open_text
 from .runio import atomic_write_text, dump_json, write_manifest
+
+if TYPE_CHECKING:
+    from . import aggregate as agg
+    from . import annotate as ann
+    from . import econ_model as econ
+    from . import labor_stats as lstats
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,6 +95,8 @@ def _load_live_client(spec: str, model_id: str) -> ann.ClassifierClient:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    from . import annotate as ann
+
     out = Path(args.out)
     live_spec = os.environ.get(CLIENT_ENV_VAR)
     model_ids = [m.strip() for m in args.models.split(",") if m.strip()]
@@ -170,6 +178,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     config.parameters = {"full_precision": args.full_precision}
 
     if args.annotations:
+        from . import annotate as ann
+
         runs = ann.read_annotation_store(config.add_input("annotations", args.annotations))
         titles = {}
         if args.taxonomy:
@@ -231,6 +241,8 @@ def _industry_csv(
     full_precision: bool,
     names: dict[str, str] | None = None,
 ) -> str:
+    from . import aggregate as agg
+
     result = agg.industry_exposure(matrix, r_occ)
     lines = ["industry_id,name,score" if names else "industry_id,score"]
     for ind in matrix.industries:
@@ -243,6 +255,8 @@ def _industry_csv(
 
 
 def cmd_industry(args: argparse.Namespace) -> int:
+    from . import aggregate as agg
+
     config = RunConfig(command="industry")
     config.parameters = {"column": args.column, "full_precision": args.full_precision}
     matrix = agg.IntensityMatrix.from_csv(config.add_input("intensity", args.intensity))
@@ -256,6 +270,8 @@ def cmd_industry(args: argparse.Namespace) -> int:
 
 
 def cmd_demographic(args: argparse.Namespace) -> int:
+    from . import aggregate as agg
+
     config = RunConfig(command="demographic")
     config.parameters = {"full_precision": args.full_precision}
     shares = agg.DemographicShares.from_csv(
@@ -284,6 +300,8 @@ def _corr_payload(result: lstats.CorrResult) -> dict[str, object]:
 
 def _summary_payload(table: sc.ScoreTable) -> dict[str, object]:
     """Per-column count/mean/std and every pairwise correlation."""
+    from . import labor_stats as lstats
+
     columns = {name: table.column(name) for name in sc.SCORE_COLUMNS if table.column(name)}
     summary = {
         name: {
@@ -304,6 +322,8 @@ def _summary_payload(table: sc.ScoreTable) -> dict[str, object]:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import labor_stats as lstats
+
     config = RunConfig(command="stats")
     table = sc.read_score_table(config.add_input("scores", args.scores))
     plot: dict[str, tuple[Path, str]] = {}
@@ -354,6 +374,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _scenario_inputs(args: argparse.Namespace, config: RunConfig):
+    from . import econ_model as econ
+
     if args.rho is not None and not math.isfinite(args.rho):
         raise InputFormatError(f"--rho must be a finite number, got {args.rho}")
     r_occ = None
@@ -366,12 +388,16 @@ def _scenario_inputs(args: argparse.Namespace, config: RunConfig):
 
 
 def _law_payload(law: econ.GrowthLaw) -> dict[str, object]:
+    from . import econ_model as econ
+
     if isinstance(law, econ.ExponentialGrowth):
         return {"kind": "exponential", "rho": law.rho}
     return {"kind": "tabulated", "points": [list(p) for p in law.points]}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import econ_model as econ
+
     config = RunConfig(command="simulate")
     sectors, law = _scenario_inputs(args, config)
     scenario = econ.AdoptionScenario.solve(sectors, law)
@@ -427,6 +453,8 @@ def _parse_grid(spec: str | None, default: list[float]) -> list[float]:
 
 
 def cmd_contour(args: argparse.Namespace) -> int:
+    from . import econ_model as econ
+
     config = RunConfig(command="contour")
     sectors, law = _scenario_inputs(args, config)
     sectors = sorted(sectors, key=lambda s: s.exposure, reverse=True)
@@ -458,6 +486,11 @@ def cmd_contour(args: argparse.Namespace) -> int:
 
 def validate_inputs(args: argparse.Namespace) -> list[str]:
     """Dry-run schema and invariant checks; diagnostics, never exceptions."""
+    from . import aggregate as agg
+    from . import annotate as ann
+    from . import econ_model as econ
+    from . import labor_stats as lstats
+
     diagnostics: list[str] = []
 
     def _check(label: str, path: str | None, loader) -> None:
@@ -479,6 +512,7 @@ def validate_inputs(args: argparse.Namespace) -> list[str]:
             taxonomy = None
     _check("taxonomy", args.taxonomy, tax.load_taxonomy)
     _check("scores", args.scores, sc.read_score_table)
+    _check("expert", args.expert, sc.read_expert_panel)
     _check("intensity", args.intensity, agg.IntensityMatrix.from_csv)
     _check("demographics", args.demographics, agg.DemographicShares.from_csv)
     _check("outcomes", args.outcomes, lstats.read_outcome_csv)
@@ -507,6 +541,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     config = RunConfig(command="pipeline", manifest=outdir / "manifest.json")
     config.parameters = {"column": args.column, "full_precision": args.full_precision}
+    from . import aggregate as agg
+
     full = args.full_precision
     table = sc.recompute_ensemble(sc.read_score_table(config.add_input("scores", args.scores)))
     taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
@@ -629,6 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="dry-run checks on input files, no computation")
     p.add_argument("--taxonomy")
     p.add_argument("--scores")
+    p.add_argument("--expert")
     p.add_argument("--intensity")
     p.add_argument("--demographics")
     p.add_argument("--outcomes")

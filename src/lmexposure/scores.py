@@ -14,18 +14,16 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .annotate import AnnotationRun, ExposureCategory
 from .errors import ComputationError, InputFormatError, open_text, parse_finite
 from .taxonomy import OccupationCode
 
-POINT_VALUES: dict[ExposureCategory, float] = {
-    ExposureCategory.E0: 0.0,
-    ExposureCategory.E1: 1.0,
-    ExposureCategory.E2: 0.5,
-    ExposureCategory.E3: 0.5,
-}
+if TYPE_CHECKING:  # hints only: importing scores must not load annotate
+    from .annotate import AnnotationRun, ExposureCategory
+
+# Keyed by the category token, ``ExposureCategory.value``.
+POINT_VALUES: dict[str, float] = {"E0": 0.0, "E1": 1.0, "E2": 0.5, "E3": 0.5}
 
 # Column order of the canonical score table file.
 MODEL_COLUMNS = ("glm", "gpt4", "internlm")
@@ -35,7 +33,7 @@ SCORE_TABLE_HEADER = ("code", "title", *SCORE_COLUMNS)
 
 def category_points(category: ExposureCategory) -> float:
     """Point value of one rubric category."""
-    return POINT_VALUES[category]
+    return POINT_VALUES[category.value]
 
 
 def model_score(samples: Sequence[ExposureCategory]) -> float:

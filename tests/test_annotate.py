@@ -322,7 +322,7 @@ def test_store_roundtrip_and_determinism(tmp_path):
 def test_store_appends(tmp_path):
     path = tmp_path / "s.jsonl"
     store = AnnotationStore(path, clock=LogicalClock())
-    run = annotate_occupation(FixedMockClient("E3"), _node(), model_id="m", n_samples=2)
+    run = annotate_occupation(FixedMockClient("E3"), _node(), model_id="glm", n_samples=2)
     store.append([run])
     store.append([run])
     assert len(read_annotation_store(path)) == 2

@@ -470,6 +470,40 @@ def test_scripted_mock_with_duplicate_titles_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["1.5", "nan"])
+def test_validate_reports_bad_expert_score_with_line(tmp_path, capsys, bad):
+    expert = tmp_path / "expert.csv"
+    expert.write_text(f"code,score\n2-01,0.5\n2-02,{bad}\n")
+    assert main(["validate", "--expert", str(expert)]) == EXIT_INPUT
+    assert f"expert: {expert}:3: expert score " in capsys.readouterr().out
+
+
+GOOD_RECORD = {"model_id": "glm", "code": "2-01", "samples": ["E1"], "raw_responses": ["E1"]}
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ([1], "expected a JSON object, got [1]"),
+        (1, "expected a JSON object, got 1"),
+        ({**GOOD_RECORD, "samples": ["E1", "E0"]}, "samples and raw_responses must align"),
+        ({**GOOD_RECORD, "raw_responses": [1]}, "raw_responses must be a list of strings"),
+        ({**GOOD_RECORD, "code": "2-x"}, "malformed occupation code '2-x'"),
+        ({**GOOD_RECORD, "code": 5}, "code must be a string, got 5"),
+        ({**GOOD_RECORD, "model_id": "mystery"}, "model 'mystery' has no score column"),
+    ],
+)
+def test_bad_annotation_record_is_input_error_with_line(tmp_path, capsys, record, message):
+    store = tmp_path / "store.jsonl"
+    store.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(record) + "\n")
+    out = tmp_path / "scores.csv"
+    assert main(["score", "--annotations", str(store), "--out", str(out)]) == EXIT_INPUT
+    assert f"{store}:2: bad annotation record: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate", "--annotations", str(store)]) == EXIT_INPUT
+    assert f"annotations: {store}:2: bad annotation record: {message}" in capsys.readouterr().out
+
+
 def test_validate_reports_non_utf8_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{}")
@@ -553,6 +587,28 @@ def test_cli_imports_only_the_standard_library():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_imports_only_what_the_command_runs(tmp_path):
+    package_root = Path(lmexposure.__file__).parents[1]
+    code = (
+        "import sys, lmexposure.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('lmexposure'))\n"
+        "print(loaded(), 'concurrent.futures' in sys.modules)\n"
+        f"lmexposure.cli.main(['stats', '--scores', {SCORES!r}, '--out', {str(tmp_path / 's.json')!r}])\n"
+        "print(loaded())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    at_import, after_stats = result.stdout.splitlines()
+    base = ["lmexposure", "lmexposure.cli", "lmexposure.errors", "lmexposure.runio"]
+    base += ["lmexposure.scores", "lmexposure.taxonomy"]
+    assert at_import == f"{base} False"
+    assert "lmexposure.labor_stats" in after_stats
+    assert "lmexposure.annotate" not in after_stats
+    assert "lmexposure.econ_model" not in after_stats
+
+
 # --- determinism ----------------------------------------------------------------
 
 
@@ -612,7 +668,7 @@ def test_annotate_rejects_bad_options_before_building_a_client(
     def no_client(*args):
         raise AssertionError("a client was built")
 
-    monkeypatch.setattr(lmexposure.annotate, "load_mock_client", no_client)
+    monkeypatch.setattr("lmexposure.annotate.load_mock_client", no_client)
     store = tmp_path / "store.jsonl"
     argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "glm"]
     assert main([*argv, option, value, "--out", str(store)]) == EXIT_CONFIG
