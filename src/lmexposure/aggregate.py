@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ComputationError, InputFormatError, open_text, parse_finite
+from .errors import (
+    SHARE_SUM_TOL,
+    ComputationError,
+    InputFormatError,
+    located,
+    open_text,
+    parse_finite,
+)
 from .taxonomy import OccupationCode
-
-ROW_SUM_TOL = 1e-9
 
 
 class RowSumError(InputFormatError):
@@ -30,32 +35,29 @@ class MissingExposureError(ComputationError):
 
 
 def _to_rows(
-    matrix: Sequence[Sequence[float]], n_rows: int, n_cols: int, what: str, path: str | None
+    matrix: Sequence[Sequence[float]], n_rows: int, n_cols: int, what: str
 ) -> list[list[float]]:
     """Copy a matrix to float rows, checking its shape against its labels."""
     rows = [[float(v) for v in row] for row in matrix]
     if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
         raise InputFormatError(
-            f"{what} matrix is not {n_rows} x {n_cols}, one row and column per label", path=path
+            f"{what} matrix is not {n_rows} x {n_cols}, one row and column per label"
         )
     return rows
 
 
-def _check_rows(matrix: list[list[float]], labels: list[str], what: str, path: str | None) -> None:
+def _check_rows(matrix: list[list[float]], labels: list[str], what: str) -> None:
     # Written so that NaN fails both checks: comparisons with NaN are false.
     for label, row in zip(labels, matrix):
         for v in row:
             if not v >= 0:
                 raise InputFormatError(
-                    f"share {v:.12g} in {what} row {label!r} is not a non-negative number",
-                    path=path,
+                    f"share {v:.12g} in {what} row {label!r} is not a non-negative number"
                 )
         total = sum(row)
-        if not abs(total - 1.0) <= ROW_SUM_TOL:
+        if not abs(total - 1.0) <= SHARE_SUM_TOL:
             raise RowSumError(
-                f"{what} row {label!r} sums to {total:.12g}, "
-                f"expected 1 within {ROW_SUM_TOL}",
-                path=path,
+                f"{what} row {label!r} sums to {total:.12g}, expected 1 within {SHARE_SUM_TOL}"
             )
 
 
@@ -73,24 +75,20 @@ class IntensityMatrix:
     industries: list[str]
     occupations: list[str]
     beta: list[list[float]]
-    path: InitVar[str | None] = None  # the source file, named in error messages
 
-    def __post_init__(self, path: str | None) -> None:
-        self.beta = _to_rows(
-            self.beta, len(self.industries), len(self.occupations), "intensity", path
-        )
+    def __post_init__(self) -> None:
+        self.beta = _to_rows(self.beta, len(self.industries), len(self.occupations), "intensity")
         levels = {OccupationCode.parse(code).level for code in self.occupations}
         if len(levels) > 1:
             raise InputFormatError(
-                f"occupation columns mix taxonomy levels {sorted(l.name for l in levels)}",
-                path=path,
+                f"occupation columns mix taxonomy levels {sorted(l.name for l in levels)}"
             )
-        _check_rows(self.beta, self.industries, "intensity", path)
+        _check_rows(self.beta, self.industries, "intensity")
 
     @classmethod
     def from_csv(cls, source: str | Path) -> "IntensityMatrix":
-        industries, occupations, matrix = _read_share_file(source, "industry_id")
-        return cls(industries=industries, occupations=occupations, beta=matrix, path=str(source))
+        with located(source):
+            return cls(*_read_share_file(source, "industry_id"))
 
 
 @dataclass
@@ -100,76 +98,65 @@ class DemographicShares:
     age_groups: list[str]
     industries: list[str]
     w: list[list[float]]
-    path: InitVar[str | None] = None  # the source file, named in error messages
 
-    def __post_init__(self, path: str | None) -> None:
-        self.w = _to_rows(self.w, len(self.age_groups), len(self.industries), "demographic", path)
-        _check_rows(self.w, self.age_groups, "demographic", path)
+    def __post_init__(self) -> None:
+        self.w = _to_rows(self.w, len(self.age_groups), len(self.industries), "demographic")
+        _check_rows(self.w, self.age_groups, "demographic")
 
     @classmethod
     def from_csv(cls, source: str | Path) -> "DemographicShares":
-        age_groups, industries, matrix = _read_share_file(source, "age_group")
-        return cls(age_groups=age_groups, industries=industries, w=matrix, path=str(source))
+        with located(source):
+            return cls(*_read_share_file(source, "age_group"))
 
 
 def _read_share_file(source: str | Path, key_column: str):
-    path = str(source)
+    labels: list[str] = []
+    values: list[list[float]] = []
     with open_text(source, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFormatError("empty share file", path=path, line=1) from None
-        if not header or header[0] != key_column:
-            raise InputFormatError(
-                f"first column must be {key_column!r}, got {header[0] if header else 'nothing'}",
-                path=path,
-                line=1,
-            )
-        columns = header[1:]
-        if not columns:
-            raise InputFormatError("share file has no weight columns", path=path, line=1)
-        labels: list[str] = []
-        values: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputFormatError(
-                    f"expected {len(header)} cells, got {len(row)}", path=path, line=line_no
-                )
-            labels.append(row[0])
-            try:
-                values.append([float(cell) for cell in row[1:]])
-            except ValueError as exc:
-                raise InputFormatError(f"non-numeric share: {exc}", path=path, line=line_no)
+        with located(source, reader):
+            header = next(reader, None)
+            if not header or header[0] != key_column:
+                got = header[0] if header else "nothing"
+                raise InputFormatError(f"first column must be {key_column!r}, got {got}", line=1)
+            columns = header[1:]
+            if not columns:
+                raise InputFormatError("share file has no weight columns")
+            if key_column == "industry_id":  # intensity columns are occupation codes
+                for code in columns:
+                    OccupationCode.parse(code)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise InputFormatError(f"expected {len(header)} cells, got {len(row)}")
+                labels.append(row[0])
+                try:
+                    values.append([float(cell) for cell in row[1:]])
+                except ValueError as exc:
+                    raise InputFormatError(f"non-numeric share: {exc}") from None
     return labels, columns, values
 
 
 def read_industry_names(source: str | Path) -> dict[str, str]:
     """Read an industry list with header ``industry_id,name``."""
-    with open_text(source, newline="") as handle:
+    with open_text(source, newline="") as handle, located(source):
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"industry_id", "name"}.issubset(reader.fieldnames):
-            raise InputFormatError(
-                "industry list header must contain industry_id,name", path=str(source), line=1
-            )
+        if not {"industry_id", "name"}.issubset(reader.fieldnames or ()):
+            raise InputFormatError("industry list header must contain industry_id,name", line=1)
         return {row["industry_id"]: row["name"] for row in reader}
 
 
 def read_industry_scores(source: str | Path) -> dict[str, float]:
     """Read an industry exposure file with header ``industry_id,score``."""
-    path = str(source)
     with open_text(source, newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"industry_id", "score"}.issubset(reader.fieldnames):
-            raise InputFormatError(
-                "industry exposure header must contain industry_id,score", path=path, line=1
-            )
-        return {
-            row["industry_id"]: parse_finite(row["score"], "score", path, reader.line_num)
-            for row in reader
-        }
+        with located(source, reader):
+            if not {"industry_id", "score"}.issubset(reader.fieldnames or ()):
+                raise InputFormatError(
+                    "industry exposure header must contain industry_id,score", line=1
+                )
+            return {row["industry_id"]: parse_finite(row["score"], "score") for row in reader}
 
 
 def industry_exposure(

@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
-from .errors import ComputationError, InputFormatError, LmExposureError, open_text
+from .errors import ComputationError, InputFormatError, LmExposureError, located, open_text
 from .scores import MODEL_COLUMNS
 from .taxonomy import OccupationCode, OccupationNode, Taxonomy
 
@@ -172,9 +172,7 @@ def _collect_sample(
         try:
             raw = client.complete(prompt_text, decode_config)
             return parse_category(raw), raw
-        except (NoCategoryFound, AmbiguousResponse) as exc:
-            last_error = exc
-        except Exception as exc:  # transport failure from the client shim
+        except Exception as exc:  # unparseable response or transport failure
             last_error = exc
     raise AnnotationError(
         f"sample failed after {attempts} attempts: {last_error}"
@@ -238,18 +236,6 @@ def annotate_nodes(
 # --- deterministic mock clients -------------------------------------------
 
 
-class FixedMockClient:
-    """Always answers with the same string."""
-
-    capability = "serial"
-
-    def __init__(self, answer: str):
-        self.answer = answer
-
-    def complete(self, prompt_text: str, decode_config: Mapping[str, object]) -> str:
-        return self.answer
-
-
 class CycleMockClient:
     """Cycles through a fixed answer list across calls."""
 
@@ -284,6 +270,8 @@ class ScriptedMockClient:
         for code, answers in answers_by_code.items():
             if not answers:
                 raise InputFormatError(f"empty answer list for occupation {code!r}")
+            if code not in taxonomy:
+                raise InputFormatError(f"unknown occupation code {code!r}")
             title = taxonomy.node(code).title
             if title in self._by_title:  # prompts carry only the title
                 other = next(c for c in answers_by_code if taxonomy.node(c).title == title)
@@ -321,39 +309,33 @@ def load_mock_client(
 ) -> ClassifierClient:
     """Build a mock client from its JSON configuration file.
 
-    Recognized shapes: ``{"kind": "fixed", "answer": "E1"}``,
-    ``{"kind": "cycle", "answers": [...]}`` and
+    Recognized shapes: ``{"kind": "fixed", "answer": "E1"}`` (a cycle of
+    one answer), ``{"kind": "cycle", "answers": [...]}`` and
     ``{"kind": "scripted", "answers": {"2-06": ["E1", ...]}}`` (the scripted
     kind needs a taxonomy to resolve codes to titles).
     """
-    path = str(source)
-    try:
-        with open_text(source) as handle:
-            config = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid mock configuration JSON: {exc}", path=path)
-    kind = config.get("kind") if isinstance(config, dict) else None
-    if not isinstance(kind, str) or kind not in _MOCK_ANSWERS:
-        raise InputFormatError(f"unknown mock client kind {kind!r}", path=path)
-    key, expected, type_name = _MOCK_ANSWERS[kind]
-    answers = config.get(key)
-    if not isinstance(answers, expected) or (
-        kind == "scripted" and not all(isinstance(v, list) for v in answers.values())
-    ):
-        raise InputFormatError(f"{kind} mock needs {key!r} as {type_name}", path=path)
-    if kind == "fixed":
-        return FixedMockClient(answers)
-    if kind == "cycle":
-        return CycleMockClient([str(a) for a in answers])
-    if taxonomy is None:
-        raise InputFormatError(
-            "scripted mock configuration needs a taxonomy to map codes to titles",
-            path=path,
-        )
-    try:
+    with located(source):
+        try:
+            with open_text(source) as handle:
+                config = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"invalid mock configuration JSON: {exc}") from None
+        kind = config.get("kind") if isinstance(config, dict) else None
+        if not isinstance(kind, str) or kind not in _MOCK_ANSWERS:
+            raise InputFormatError(f"unknown mock client kind {kind!r}")
+        key, expected, type_name = _MOCK_ANSWERS[kind]
+        answers = config.get(key)
+        if not isinstance(answers, expected) or (
+            kind == "scripted" and not all(isinstance(v, list) for v in answers.values())
+        ):
+            raise InputFormatError(f"{kind} mock needs {key!r} as {type_name}")
+        if kind != "scripted":
+            return CycleMockClient([answers] if kind == "fixed" else [str(a) for a in answers])
+        if taxonomy is None:
+            raise InputFormatError(
+                "scripted mock configuration needs a taxonomy to map codes to titles"
+            )
         return ScriptedMockClient(answers, taxonomy)
-    except (KeyError, InputFormatError) as exc:  # e.g. a code the taxonomy does not hold
-        raise InputFormatError(str(exc.args[0]), path=path) from None
 
 
 # --- annotation store -------------------------------------------------------
@@ -415,18 +397,15 @@ def read_annotation_store(source: str | Path) -> list[AnnotationRun]:
     responses or a sample count that differs from its responses raises
     ``InputFormatError`` at ``path:line``.
     """
-    path = str(source)
     runs: list[AnnotationRun] = []
-    with open_text(source) as handle:
+    with open_text(source) as handle, located(source):
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 runs.append(_record_to_run(json.loads(line)))
             except (KeyError, TypeError, ValueError, LmExposureError) as exc:
-                raise InputFormatError(
-                    f"bad annotation record: {exc}", path=path, line=line_no
-                ) from None
+                raise InputFormatError(f"bad annotation record: {exc}", line=line_no) from None
     return runs
 
 

@@ -493,24 +493,20 @@ def validate_inputs(args: argparse.Namespace) -> list[str]:
 
     diagnostics: list[str] = []
 
-    def _check(label: str, path: str | None, loader) -> None:
+    def _check(label: str, path: str | None, loader):
+        """What ``loader`` read from ``path``, or None with a diagnostic."""
         if path is None:
-            return
+            return None
         if not Path(path).is_file():
             diagnostics.append(f"{label}: file not found: {path}")
-            return
+            return None
         try:
-            loader(path)
+            return loader(path)
         except LmExposureError as exc:
             diagnostics.append(f"{label}: {exc}")
+            return None
 
-    taxonomy = None
-    if args.taxonomy and Path(args.taxonomy).is_file():
-        try:
-            taxonomy = tax.load_taxonomy(args.taxonomy)
-        except LmExposureError:
-            taxonomy = None
-    _check("taxonomy", args.taxonomy, tax.load_taxonomy)
+    taxonomy = _check("taxonomy", args.taxonomy, tax.load_taxonomy)
     _check("scores", args.scores, sc.read_score_table)
     _check("expert", args.expert, sc.read_expert_panel)
     _check("intensity", args.intensity, agg.IntensityMatrix.from_csv)

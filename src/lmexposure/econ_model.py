@@ -17,9 +17,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ComputationError, InputFormatError, open_text, parse_finite
-
-SHARE_SUM_TOL = 1e-9
+from .errors import (
+    SHARE_SUM_TOL,
+    ComputationError,
+    InputFormatError,
+    located,
+    open_text,
+    parse_finite,
+)
 
 
 class UnsupportedLawError(ComputationError):
@@ -164,7 +169,7 @@ class Sector:
 
 def check_share_sum(sectors: Sequence[Sector]) -> None:
     total = sum(s.output_share for s in sectors)
-    if abs(total - 1.0) > SHARE_SUM_TOL:
+    if not abs(total - 1.0) <= SHARE_SUM_TOL:  # NaN fails too
         raise ComputationError(
             f"sector output shares sum to {total:.12g}, expected 1 within {SHARE_SUM_TOL}"
         )
@@ -324,101 +329,96 @@ def load_scenario(
     by kappa * exposure; that mapping is a modeling convenience with no
     empirical grounding and must be opted into explicitly.
     """
-    path = str(source)
-    try:
-        with open_text(path) as handle:
-            config = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid scenario JSON: {exc}", path=path)
-    if not isinstance(config, dict):
-        raise InputFormatError("scenario must be a JSON object", path=path)
+    with located(source):
+        try:
+            with open_text(source) as handle:
+                config = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"invalid scenario JSON: {exc}") from None
+        if not isinstance(config, dict):
+            raise InputFormatError("scenario must be a JSON object")
 
-    law_spec = config.get("law", "exponential")
-    if law_spec == "exponential" or (
-        isinstance(law_spec, dict) and law_spec.get("kind") == "exponential"
-    ):
-        rho = parse_finite(config.get("rho", 1.0), "rho", path)
-        law: GrowthLaw = ExponentialGrowth(rho=rho_override if rho_override is not None else rho)
-    elif isinstance(law_spec, dict) and law_spec.get("kind") == "tabulated":
-        points = law_spec.get("points")
-        if not isinstance(points, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in points
+        law_spec = config.get("law", "exponential")
+        if law_spec == "exponential" or (
+            isinstance(law_spec, dict) and law_spec.get("kind") == "exponential"
         ):
-            raise InputFormatError(
-                "tabulated law needs 'points' as a list of [exposure, factor] pairs", path=path
+            rho = parse_finite(config.get("rho", 1.0), "rho")
+            law: GrowthLaw = ExponentialGrowth(rho=rho)
+        elif isinstance(law_spec, dict) and law_spec.get("kind") == "tabulated":
+            points = law_spec.get("points")
+            if not isinstance(points, list) or not all(
+                isinstance(p, list) and len(p) == 2 for p in points
+            ):
+                raise InputFormatError(
+                    "tabulated law needs 'points' as a list of [exposure, factor] pairs"
+                )
+            law = TabulatedGrowth(
+                points=tuple(tuple(parse_finite(v, "law point") for v in p) for p in points)
             )
-        law = TabulatedGrowth(
-            points=tuple(tuple(parse_finite(v, "law point", path) for v in p) for p in points)
-        )
-    else:
-        raise InputFormatError(f"unknown growth law {law_spec!r}", path=path)
-
-    kappa = config.get("damage_kappa")
-    if kappa is not None:
-        kappa = parse_finite(kappa, "damage_kappa", path)
-    raw_sectors = config.get("sectors")
-    if not raw_sectors:
-        raise InputFormatError("scenario lists no sectors", path=path)
-    if not isinstance(raw_sectors, list) or not all(isinstance(s, dict) for s in raw_sectors):
-        raise InputFormatError("scenario sectors must be a list of objects", path=path)
-
-    shares: list[float]
-    if all("share" in s for s in raw_sectors):
-        shares = [parse_finite(s["share"], "sector share", path) for s in raw_sectors]
-    elif all("baseline_output" in s for s in raw_sectors):
-        outputs = [parse_finite(s["baseline_output"], "baseline_output", path) for s in raw_sectors]
-        shares = shares_from_outputs(outputs)
-    else:
-        raise InputFormatError(
-            "every sector needs either a share or a baseline_output", path=path
-        )
-
-    sectors: list[Sector] = []
-    for spec, share in zip(raw_sectors, shares):
-        sector_id = str(spec.get("id", len(sectors) + 1))
-        if "exposure" in spec:
-            exposure = parse_finite(spec["exposure"], "sector exposure", path)
-        elif "occupation_mix" in spec:
-            if r_occ is None:
-                raise InputFormatError(
-                    f"sector {sector_id!r} references an occupation mix but no "
-                    "occupational scores were supplied",
-                    path=path,
-                )
-            mix = spec["occupation_mix"]
-            if not isinstance(mix, dict):
-                raise InputFormatError(
-                    f"sector {sector_id!r} occupation_mix must be an object", path=path
-                )
-            mix = {str(k): parse_finite(v, "occupation_mix weight", path) for k, v in mix.items()}
-            weight = sum(mix.values())
-            if abs(weight - 1.0) > SHARE_SUM_TOL:
-                raise InputFormatError(
-                    f"sector {sector_id!r} occupation mix sums to {weight:.12g}",
-                    path=path,
-                )
-            missing = [c for c in mix if c not in r_occ]
-            if missing:
-                raise InputFormatError(
-                    f"sector {sector_id!r} occupation mix references unscored codes "
-                    f"{missing[:5]}",
-                    path=path,
-                )
-            exposure = sum(w * r_occ[c] for c, w in mix.items())
         else:
-            raise InputFormatError(
-                f"sector {sector_id!r} needs an exposure or an occupation_mix", path=path
-            )
-        if "delta" in spec:
-            delta = parse_finite(spec["delta"], "sector delta", path)
-        elif kappa is not None:
-            delta = kappa * exposure
+            raise InputFormatError(f"unknown growth law {law_spec!r}")
+
+        kappa = config.get("damage_kappa")
+        if kappa is not None:
+            kappa = parse_finite(kappa, "damage_kappa")
+        raw_sectors = config.get("sectors")
+        if not raw_sectors:
+            raise InputFormatError("scenario lists no sectors")
+        if not isinstance(raw_sectors, list) or not all(isinstance(s, dict) for s in raw_sectors):
+            raise InputFormatError("scenario sectors must be a list of objects")
+
+        shares: list[float]
+        if all("share" in s for s in raw_sectors):
+            shares = [parse_finite(s["share"], "sector share") for s in raw_sectors]
+        elif all("baseline_output" in s for s in raw_sectors):
+            outputs = [parse_finite(s["baseline_output"], "baseline_output") for s in raw_sectors]
+            shares = shares_from_outputs(outputs)
         else:
-            raise InputFormatError(
-                f"sector {sector_id!r} needs a delta (or set damage_kappa)", path=path
+            raise InputFormatError("every sector needs either a share or a baseline_output")
+
+        sectors: list[Sector] = []
+        for spec, share in zip(raw_sectors, shares):
+            sector_id = str(spec.get("id", len(sectors) + 1))
+            if "exposure" in spec:
+                exposure = parse_finite(spec["exposure"], "sector exposure")
+            elif "occupation_mix" in spec:
+                if r_occ is None:
+                    raise InputFormatError(
+                        f"sector {sector_id!r} references an occupation mix but no "
+                        "occupational scores were supplied"
+                    )
+                mix = spec["occupation_mix"]
+                if not isinstance(mix, dict):
+                    raise InputFormatError(f"sector {sector_id!r} occupation_mix must be an object")
+                mix = {str(k): parse_finite(v, "occupation_mix weight") for k, v in mix.items()}
+                weight = sum(mix.values())
+                if not abs(weight - 1.0) <= SHARE_SUM_TOL:
+                    raise InputFormatError(
+                        f"sector {sector_id!r} occupation mix sums to {weight:.12g}"
+                    )
+                missing = [c for c in mix if c not in r_occ]
+                if missing:
+                    raise InputFormatError(
+                        f"sector {sector_id!r} occupation mix references unscored codes "
+                        f"{missing[:5]}"
+                    )
+                exposure = sum(w * r_occ[c] for c, w in mix.items())
+            else:
+                raise InputFormatError(
+                    f"sector {sector_id!r} needs an exposure or an occupation_mix"
+                )
+            if "delta" in spec:
+                delta = parse_finite(spec["delta"], "sector delta")
+            elif kappa is not None:
+                delta = kappa * exposure
+            else:
+                raise InputFormatError(f"sector {sector_id!r} needs a delta (or set damage_kappa)")
+            sectors.append(
+                Sector(id=sector_id, output_share=share, damage_ratio=delta, exposure=exposure)
             )
-        sectors.append(
-            Sector(id=sector_id, output_share=share, damage_ratio=delta, exposure=exposure)
-        )
-    check_share_sum(sectors)
+        check_share_sum(sectors)
+    # A command-line rho is not the file's: its errors name no path.
+    if rho_override is not None and isinstance(law, ExponentialGrowth):
+        law = ExponentialGrowth(rho=rho_override)
     return sectors, law
+

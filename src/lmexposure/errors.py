@@ -2,7 +2,8 @@
 
 Two broad families, mirrored by distinct CLI exit codes: problems with the
 bytes we were given (``InputFormatError``) and problems discovered while
-computing on otherwise well-formed inputs (``ComputationError``).
+computing on otherwise well-formed inputs (``ComputationError``). A reader
+names the file it reads once, through ``located``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
+
+# Tolerance of every sums-to-one check on shares and weights.
+SHARE_SUM_TOL = 1e-9
 
 
 class LmExposureError(Exception):
@@ -33,14 +37,36 @@ class ComputationError(LmExposureError):
     """An operation's precondition or invariant was violated at run time."""
 
 
-def parse_finite(value: object, what: str, path: str, line: int | None = None) -> float:
+@contextmanager
+def located(path: str | Path | None, reader: object = None) -> Iterator[None]:
+    """Name ``path`` in every package error raised while reading that file.
+
+    An error that names no file is re-raised at ``path``, on its own line if
+    it has one, else on ``reader.line_num`` when a reader is given. An
+    ``InputFormatError`` keeps its class; any other error, a
+    ``ComputationError`` say, becomes an ``InputFormatError``, since the file
+    could not be turned into objects.
+    """
+    try:
+        yield
+    except LmExposureError as exc:
+        if getattr(exc, "path", None) is not None:
+            raise
+        line = getattr(exc, "line", None)
+        if line is None and reader is not None:
+            line = reader.line_num
+        cls = type(exc) if isinstance(exc, InputFormatError) else InputFormatError
+        raise cls(str(exc), path=None if path is None else str(path), line=line) from None
+
+
+def parse_finite(value: object, what: str) -> float:
     """``float(value)`` for a reader, or an InputFormatError unless it is finite."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
-        raise InputFormatError(f"{what} {value!r} is not a finite number", path=path, line=line)
+        raise InputFormatError(f"{what} {value!r} is not a finite number")
     return number
 
 

@@ -16,7 +16,14 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ComputationError, InputFormatError, open_text, parse_finite
+from .errors import (
+    SHARE_SUM_TOL,
+    ComputationError,
+    InputFormatError,
+    located,
+    open_text,
+    parse_finite,
+)
 from .taxonomy import OccupationCode
 
 # p-value cutoffs, most demanding first. Convention: * p<0.05, ** p<0.01,
@@ -26,8 +33,6 @@ DEFAULT_STAR_THRESHOLDS: tuple[tuple[float, str], ...] = (
     (0.01, "**"),
     (0.05, "*"),
 )
-
-SHARE_SUM_TOL = 1e-9
 
 
 class ConstantSeriesError(ComputationError):
@@ -165,7 +170,7 @@ class OutcomeSeries:
     def __post_init__(self) -> None:
         if self.kind is OutcomeKind.VACANCY_SHARE and self.values:
             total = sum(self.values.values())
-            if abs(total - 1.0) > SHARE_SUM_TOL:
+            if not abs(total - 1.0) <= SHARE_SUM_TOL:  # NaN fails too
                 raise ComputationError(
                     f"vacancy shares sum to {total:.12g}, expected 1 within {SHARE_SUM_TOL}"
                 )
@@ -252,34 +257,29 @@ def scatter_report(
 
 def read_outcome_csv(source: str | Path) -> OutcomeSeries:
     """Read an outcome file: header ``code,<kind>``, one value per code."""
-    path = str(source)
     kinds = {k.value for k in OutcomeKind}
+    values: dict[str, float] = {}
     with open_text(source, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFormatError("empty outcome file", path=path, line=1) from None
-        if len(header) != 2 or header[0] != "code" or header[1] not in kinds:
-            raise InputFormatError(
-                f"outcome header must be code,<kind> with kind in {sorted(kinds)}, got {header}",
-                path=path,
-                line=1,
-            )
-        kind = OutcomeKind(header[1])
-        values: dict[str, float] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
+        with located(source, reader):
+            header = next(reader, None)
+            if not header or len(header) != 2 or header[0] != "code" or header[1] not in kinds:
                 raise InputFormatError(
-                    f"expected 2 cells, got {len(row)}", path=path, line=line_no
+                    f"outcome header must be code,<kind> with kind in {sorted(kinds)}, "
+                    f"got {header}",
+                    line=1,
                 )
-            code = OccupationCode.parse(row[0]).raw
-            if code in values:
-                raise InputFormatError(f"duplicate code {code!r}", path=path, line=line_no)
-            values[code] = parse_finite(row[1], "outcome value", path, line_no)
-    return OutcomeSeries(kind=kind, values=values)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise InputFormatError(f"expected 2 cells, got {len(row)}")
+                code = OccupationCode.parse(row[0]).raw
+                if code in values:
+                    raise InputFormatError(f"duplicate code {code!r}")
+                values[code] = parse_finite(row[1], "outcome value")
+    with located(source):  # the whole file, as vacancy shares must sum to one
+        return OutcomeSeries(kind=OutcomeKind(header[1]), values=values)
 
 
 def correlation_panel(

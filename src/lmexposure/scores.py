@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import ComputationError, InputFormatError, open_text, parse_finite
+from .errors import ComputationError, InputFormatError, located, open_text, parse_finite
 from .taxonomy import OccupationCode
 
 if TYPE_CHECKING:  # hints only: importing scores must not load annotate
@@ -73,30 +73,28 @@ def expert_mean(panel: ExpertPanel, code: str) -> float:
     return sum(values) / len(values)
 
 
-def _parse_score(cell: str | None, what: str, path: str, line: int) -> float:
-    """One score in [0, 1], or an InputFormatError at ``path:line``."""
-    value = parse_finite(cell, what, path, line)
+def _parse_score(cell: str | None, what: str) -> float:
+    """One score in [0, 1], or an InputFormatError."""
+    value = parse_finite(cell, what)
     if not 0.0 <= value <= 1.0:
-        raise InputFormatError(f"{what} {value} is outside [0, 1]", path=path, line=line)
+        raise InputFormatError(f"{what} {value} is outside [0, 1]")
     return value
 
 
 def read_expert_panel(source: str | Path) -> ExpertPanel:
     """Read a long-format expert score file with header ``code,score``."""
-    path = str(source)
     scores: dict[str, list[float]] = {}
     with open_text(source, newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"code", "score"}.issubset(reader.fieldnames):
-            raise InputFormatError(
-                f"expert panel header must contain ['code', 'score'], got {reader.fieldnames}",
-                path=path,
-                line=1,
-            )
-        for row in reader:
-            code = OccupationCode.parse(row["code"]).raw
-            value = _parse_score(row["score"], "expert score", path, reader.line_num)
-            scores.setdefault(code, []).append(value)
+        with located(source, reader):
+            if reader.fieldnames is None or not {"code", "score"}.issubset(reader.fieldnames):
+                raise InputFormatError(
+                    f"expert panel header must contain ['code', 'score'], got {reader.fieldnames}",
+                    line=1,
+                )
+            for row in reader:
+                code = OccupationCode.parse(row["code"]).raw
+                scores.setdefault(code, []).append(_parse_score(row["score"], "expert score"))
     return ExpertPanel(scores=scores)
 
 
@@ -169,26 +167,26 @@ def read_score_table(source: str | Path | io.TextIOBase) -> ScoreTable:
 
 def _read_table(handle, path: str) -> ScoreTable:
     reader = csv.DictReader(handle)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != SCORE_TABLE_HEADER:
-        raise InputFormatError(
-            f"score table header must be {','.join(SCORE_TABLE_HEADER)}, got {reader.fieldnames}",
-            path=path,
-            line=1,
-        )
     rows: list[ScoreRow] = []
     seen: set[str] = set()
-    for row in reader:
-        line = reader.line_num
-        code = OccupationCode.parse(row["code"]).raw
-        if code in seen:
-            raise InputFormatError(f"duplicate code {code!r}", path=path, line=line)
-        seen.add(code)
-        scores = {
-            name: _parse_score(cell, f"{name} value", path, line)
-            for name in SCORE_COLUMNS
-            if (cell := (row[name] or "").strip())
-        }
-        rows.append(ScoreRow(code=code, title=row["title"] or "", scores=scores))
+    with located(path, reader):
+        if reader.fieldnames is None or tuple(reader.fieldnames) != SCORE_TABLE_HEADER:
+            raise InputFormatError(
+                f"score table header must be {','.join(SCORE_TABLE_HEADER)}, "
+                f"got {reader.fieldnames}",
+                line=1,
+            )
+        for row in reader:
+            code = OccupationCode.parse(row["code"]).raw
+            if code in seen:
+                raise InputFormatError(f"duplicate code {code!r}")
+            seen.add(code)
+            scores = {
+                name: _parse_score(cell, f"{name} value")
+                for name in SCORE_COLUMNS
+                if (cell := (row[name] or "").strip())
+            }
+            rows.append(ScoreRow(code=code, title=row["title"] or "", scores=scores))
     return ScoreTable(rows=rows)
 
 

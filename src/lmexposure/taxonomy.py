@@ -11,6 +11,7 @@ score computation while keeping the tree structurally complete.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import ComputationError, InputFormatError, open_text
+from .errors import ComputationError, InputFormatError, located, open_text
 
 
 class Level(IntEnum):
@@ -57,6 +58,7 @@ class OccupationCode:
     level: Level
 
     @classmethod
+    @functools.lru_cache(maxsize=4096)  # a command meets one code in several files
     def parse(cls, raw: str) -> "OccupationCode":
         raw = raw.strip()
         if not _CODE_RE.match(raw):
@@ -134,13 +136,13 @@ _TRUE = {"true", "1", "yes"}
 _FALSE = {"false", "0", "no", ""}
 
 
-def _parse_excluded(value: str, path: str | None, line: int) -> bool:
+def _parse_excluded(value: str) -> bool:
     v = value.strip().lower()
     if v in _TRUE:
         return True
     if v in _FALSE:
         return False
-    raise InputFormatError(f"unrecognized excluded flag {value!r}", path=path, line=line)
+    raise InputFormatError(f"unrecognized excluded flag {value!r}")
 
 
 def load_taxonomy(source: str | Path | io.TextIOBase) -> Taxonomy:
@@ -156,60 +158,52 @@ def load_taxonomy(source: str | Path | io.TextIOBase) -> Taxonomy:
     ``InputFormatError`` for header/flag problems.
     """
     if isinstance(source, (str, Path)):
-        path = str(source)
         with open_text(source, newline="") as handle:
-            return _load(handle, path)
+            return _load(handle, str(source))
     return _load(source, getattr(source, "name", None))
 
 
 def _load(handle: Iterable[str], path: str | None) -> Taxonomy:
     reader = csv.DictReader(handle)
-    required = {"code", "title", "description", "excluded"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise InputFormatError(
-            f"taxonomy header must contain {sorted(required)}, got {reader.fieldnames}",
-            path=path,
-            line=1,
-        )
-
-    rows: list[tuple[int, OccupationCode, str, str, bool]] = []
-    seen: dict[str, int] = {}
-    for row in reader:
-        line = reader.line_num
-        raw = (row["code"] or "").strip()
-        try:
-            code = OccupationCode.parse(raw)
-        except MalformedCodeError as exc:
-            raise MalformedCodeError(str(exc), path=path, line=line) from None
-        if code.raw in seen:
-            raise DuplicateCodeError(
-                f"duplicate occupation code {code.raw!r} (first seen on line {seen[code.raw]})",
-                path=path,
-                line=line,
+    with located(path, reader):
+        required = {"code", "title", "description", "excluded"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise InputFormatError(
+                f"taxonomy header must contain {sorted(required)}, got {reader.fieldnames}",
+                line=1,
             )
-        seen[code.raw] = line
-        excluded = _parse_excluded(row["excluded"] or "", path, line)
-        rows.append((line, code, row["title"] or "", row["description"] or "", excluded))
 
-    index: dict[str, OccupationNode] = {}
-    for _, code, title, description, excluded in rows:
-        index[code.raw] = OccupationNode(code, title, description, excluded)
+        rows: list[tuple[int, OccupationCode, str, str, bool]] = []
+        seen: dict[str, int] = {}
+        for row in reader:
+            line = reader.line_num
+            code = OccupationCode.parse(row["code"] or "")
+            if code.raw in seen:
+                raise DuplicateCodeError(
+                    f"duplicate occupation code {code.raw!r} (first seen on line {seen[code.raw]})"
+                )
+            seen[code.raw] = line
+            excluded = _parse_excluded(row["excluded"] or "")
+            rows.append((line, code, row["title"] or "", row["description"] or "", excluded))
 
-    roots: list[OccupationNode] = []
-    for line, code, _, _, _ in rows:
-        node = index[code.raw]
-        parent_raw = code.parent_raw()
-        if parent_raw is None:
-            roots.append(node)
-            continue
-        parent = index.get(parent_raw)
-        if parent is None:
-            raise OrphanCodeError(
-                f"occupation code {code.raw!r} has no parent {parent_raw!r} in the document",
-                path=path,
-                line=line,
-            )
-        parent.children.append(node)
+        index: dict[str, OccupationNode] = {}
+        for _, code, title, description, excluded in rows:
+            index[code.raw] = OccupationNode(code, title, description, excluded)
+
+        roots: list[OccupationNode] = []
+        for line, code, _, _, _ in rows:
+            node = index[code.raw]
+            parent_raw = code.parent_raw()
+            if parent_raw is None:
+                roots.append(node)
+                continue
+            parent = index.get(parent_raw)
+            if parent is None:
+                raise OrphanCodeError(
+                    f"occupation code {code.raw!r} has no parent {parent_raw!r} in the document",
+                    line=line,
+                )
+            parent.children.append(node)
 
     # Exclusion is inherited: a subtree rooted at an excluded node is excluded.
     def _propagate(node: OccupationNode, excluded: bool) -> None:

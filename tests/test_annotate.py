@@ -16,7 +16,6 @@ from lmexposure.annotate import (
     CycleMockClient,
     EmptyDescriptionError,
     ExposureCategory,
-    FixedMockClient,
     LogicalClock,
     NoCategoryFound,
     ScriptedMockClient,
@@ -99,7 +98,7 @@ def test_parse_no_category(response):
 
 
 def test_constant_mock_eight_samples():
-    run = annotate_occupation(FixedMockClient("E1"), _node(), model_id="m", n_samples=8)
+    run = annotate_occupation(CycleMockClient(["E1"]), _node(), model_id="m", n_samples=8)
     assert run.samples == [E1] * 8
     assert run.raw_responses == ["E1"] * 8
 
@@ -150,7 +149,7 @@ def test_deterministic_client_gives_pure_runs():
 
 def test_n_samples_must_be_positive():
     with pytest.raises(Exception):
-        annotate_occupation(FixedMockClient("E1"), _node(), model_id="m", n_samples=0)
+        annotate_occupation(CycleMockClient(["E1"]), _node(), model_id="m", n_samples=0)
 
 
 def test_concurrent_dispatch_reassembles_by_index():
@@ -276,7 +275,8 @@ def test_scripted_mock_without_entry_fails():
 def test_load_mock_client_kinds(tmp_path):
     fixed = tmp_path / "fixed.json"
     fixed.write_text(json.dumps({"kind": "fixed", "answer": "E1"}))
-    assert isinstance(load_mock_client(fixed), FixedMockClient)
+    client = load_mock_client(fixed)  # a fixed answer is a cycle of one
+    assert isinstance(client, CycleMockClient) and client.answers == ["E1"]
 
     cycle = tmp_path / "cycle.json"
     cycle.write_text(json.dumps({"kind": "cycle", "answers": ["E1", "E0"]}))
@@ -301,7 +301,7 @@ def test_load_mock_client_kinds(tmp_path):
 
 def test_store_roundtrip_and_determinism(tmp_path):
     runs = [
-        annotate_occupation(FixedMockClient("E1"), _node(), model_id="glm", n_samples=4),
+        annotate_occupation(CycleMockClient(["E1"]), _node(), model_id="glm", n_samples=4),
         annotate_occupation(CycleMockClient(["E0", "E2"]), _node(), model_id="gpt4", n_samples=4),
     ]
     path_a = tmp_path / "a.jsonl"
@@ -322,7 +322,7 @@ def test_store_roundtrip_and_determinism(tmp_path):
 def test_store_appends(tmp_path):
     path = tmp_path / "s.jsonl"
     store = AnnotationStore(path, clock=LogicalClock())
-    run = annotate_occupation(FixedMockClient("E3"), _node(), model_id="glm", n_samples=2)
+    run = annotate_occupation(CycleMockClient(["E3"]), _node(), model_id="glm", n_samples=2)
     store.append([run])
     store.append([run])
     assert len(read_annotation_store(path)) == 2

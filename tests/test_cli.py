@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lmexposure
+from lmexposure import taxonomy
 from lmexposure.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -403,7 +404,10 @@ def test_malformed_scenario_is_input_error(tmp_path, capsys, config):
 # --- validate ----------------------------------------------------------------
 
 
-def test_validate_clean_inputs():
+def test_validate_clean_inputs(monkeypatch):
+    loads = []
+    load = taxonomy.load_taxonomy
+    monkeypatch.setattr(taxonomy, "load_taxonomy", lambda path: loads.append(path) or load(path))
     assert (
         main(
             [
@@ -414,6 +418,7 @@ def test_validate_clean_inputs():
         )
         == EXIT_OK
     )
+    assert loads == [TAXONOMY]  # one read serves the check and the scripted mock
 
 
 def test_validate_reports_row_sum(tmp_path, capsys):
@@ -697,9 +702,9 @@ def test_env_client_shim(tmp_path, monkeypatch):
     shim.mkdir()
     (shim / "__init__.py").write_text("")
     (shim / "client.py").write_text(
-        "from lmexposure.annotate import FixedMockClient\n"
+        "from lmexposure.annotate import CycleMockClient\n"
         "def make(model_id):\n"
-        "    return FixedMockClient('E2')\n"
+        "    return CycleMockClient(['E2'])\n"
     )
     monkeypatch.syspath_prepend(str(tmp_path))
     monkeypatch.setenv(CLIENT_ENV_VAR, "shimpkg.client:make")

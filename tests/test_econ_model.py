@@ -442,7 +442,7 @@ def test_scenario_baseline_outputs(tmp_path):
             }
         )
     )
-    with pytest.raises(ComputationError):
+    with pytest.raises(InputFormatError, match="^" + re.escape(f"{negative}: ")):
         load_scenario(negative)
 
 

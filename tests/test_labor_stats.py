@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import statistics
 
 import numpy as np
@@ -238,6 +239,12 @@ def test_negative_counts_rejected():
         vacancy_shares({"a": -1, "b": 2})
 
 
+def test_nan_count_rejected():
+    # Every comparison with NaN is false: `abs(t - 1) > tol` would let a NaN sum through.
+    with pytest.raises(ComputationError, match="vacancy shares sum to nan"):
+        vacancy_shares({"a": float("nan"), "b": 1.0})
+
+
 def test_share_invariant_enforced_on_series():
     with pytest.raises(ComputationError):
         OutcomeSeries(kind=OutcomeKind.VACANCY_SHARE, values={"a": 0.5, "b": 0.4})
@@ -354,5 +361,5 @@ def test_read_outcome_rejects_unknown_kind(tmp_path):
 def test_read_outcome_vacancy_share_checks_sum(tmp_path):
     path = tmp_path / "v.csv"
     path.write_text("code,vacancy_share\n2-01,0.4\n2-02,0.4\n")
-    with pytest.raises(ComputationError):
+    with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}: vacancy shares sum")):
         read_outcome_csv(path)
