@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     SHARE_SUM_TOL,
@@ -68,17 +67,16 @@ def _project(
     return {k: math.fsum(w * x for w, x in zip(row, scores)) for k, row in zip(labels, matrix)}
 
 
-@dataclass
 class IntensityMatrix:
     """Industry-by-occupation employment shares; each row is stochastic."""
 
-    industries: list[str]
-    occupations: list[str]
-    beta: list[list[float]]
-
-    def __post_init__(self) -> None:
-        self.beta = _to_rows(self.beta, len(self.industries), len(self.occupations), "intensity")
-        levels = {OccupationCode.parse(code).level for code in self.occupations}
+    def __init__(
+        self, industries: list[str], occupations: list[str], beta: Sequence[Sequence[float]]
+    ) -> None:
+        self.industries = industries
+        self.occupations = occupations
+        self.beta = _to_rows(beta, len(industries), len(occupations), "intensity")
+        levels = {OccupationCode.parse(code).level for code in occupations}
         if len(levels) > 1:
             raise InputFormatError(
                 f"occupation columns mix taxonomy levels {sorted(l.name for l in levels)}"
@@ -91,17 +89,16 @@ class IntensityMatrix:
             return cls(*_read_share_file(source, "industry_id"))
 
 
-@dataclass
 class DemographicShares:
     """Age-group-by-industry employment shares; each row is stochastic."""
 
-    age_groups: list[str]
-    industries: list[str]
-    w: list[list[float]]
-
-    def __post_init__(self) -> None:
-        self.w = _to_rows(self.w, len(self.age_groups), len(self.industries), "demographic")
-        _check_rows(self.w, self.age_groups, "demographic")
+    def __init__(
+        self, age_groups: list[str], industries: list[str], w: Sequence[Sequence[float]]
+    ) -> None:
+        self.age_groups = age_groups
+        self.industries = industries
+        self.w = _to_rows(w, len(age_groups), len(industries), "demographic")
+        _check_rows(self.w, age_groups, "demographic")
 
     @classmethod
     def from_csv(cls, source: str | Path) -> "DemographicShares":
@@ -110,8 +107,7 @@ class DemographicShares:
 
 
 def _read_share_file(source: str | Path, key_column: str):
-    labels: list[str] = []
-    values: list[list[float]] = []
+    rows: dict[str, list[float]] = {}
     with open_text(source, newline="") as handle:
         reader = csv.reader(handle)
         with located(source, reader):
@@ -130,33 +126,40 @@ def _read_share_file(source: str | Path, key_column: str):
                     continue
                 if len(row) != len(header):
                     raise InputFormatError(f"expected {len(header)} cells, got {len(row)}")
-                labels.append(row[0])
+                if row[0] in rows:  # results are keyed by label: a repeat would replace
+                    raise InputFormatError(f"duplicate {key_column} {row[0]!r}")
                 try:
-                    values.append([float(cell) for cell in row[1:]])
+                    rows[row[0]] = [float(cell) for cell in row[1:]]
                 except ValueError as exc:
                     raise InputFormatError(f"non-numeric share: {exc}") from None
-    return labels, columns, values
+    return list(rows), columns, list(rows.values())
+
+
+def _read_industry_column(source: str | Path, column: str, parse: Callable[[str], object]) -> dict:
+    """``industry_id`` -> ``parse(row[column])``; a repeated id is an input error."""
+    values = {}
+    with open_text(source, newline="") as handle:
+        reader = csv.DictReader(handle)
+        with located(source, reader):
+            if not {"industry_id", column}.issubset(reader.fieldnames or ()):
+                raise InputFormatError(f"header must contain industry_id,{column}", line=1)
+            for row in reader:
+                if row["industry_id"] in values:
+                    raise InputFormatError(f"duplicate industry_id {row['industry_id']!r}")
+                if row[column] is None:
+                    raise InputFormatError(f"row has no {column} cell")
+                values[row["industry_id"]] = parse(row[column])
+    return values
 
 
 def read_industry_names(source: str | Path) -> dict[str, str]:
     """Read an industry list with header ``industry_id,name``."""
-    with open_text(source, newline="") as handle, located(source):
-        reader = csv.DictReader(handle)
-        if not {"industry_id", "name"}.issubset(reader.fieldnames or ()):
-            raise InputFormatError("industry list header must contain industry_id,name", line=1)
-        return {row["industry_id"]: row["name"] for row in reader}
+    return _read_industry_column(source, "name", str)
 
 
 def read_industry_scores(source: str | Path) -> dict[str, float]:
     """Read an industry exposure file with header ``industry_id,score``."""
-    with open_text(source, newline="") as handle:
-        reader = csv.DictReader(handle)
-        with located(source, reader):
-            if not {"industry_id", "score"}.issubset(reader.fieldnames or ()):
-                raise InputFormatError(
-                    "industry exposure header must contain industry_id,score", line=1
-                )
-            return {row["industry_id"]: parse_finite(row["score"], "score") for row in reader}
+    return _read_industry_column(source, "score", lambda cell: parse_finite(cell, "score"))
 
 
 def industry_exposure(

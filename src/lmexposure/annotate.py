@@ -17,11 +17,10 @@ import json
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 from .errors import ComputationError, InputFormatError, LmExposureError, located, open_text
 from .scores import MODEL_COLUMNS
@@ -78,8 +77,7 @@ class AnnotationError(ComputationError):
     """A sample could not be collected within its retry budget."""
 
 
-@dataclass(frozen=True)
-class RubricPrompt:
+class RubricPrompt(NamedTuple):
     """Deterministic prompt payload for one occupation."""
 
     occupation_title: str
@@ -146,17 +144,21 @@ class ClassifierClient(Protocol):
         ...
 
 
-@dataclass
 class AnnotationRun:
     """All samples collected for one (model, occupation) pair."""
 
-    model_id: str
-    occupation_code: OccupationCode
-    samples: list[ExposureCategory]
-    raw_responses: list[str]
-
-    def __post_init__(self) -> None:
-        if len(self.samples) != len(self.raw_responses):
+    def __init__(
+        self,
+        model_id: str,
+        occupation_code: OccupationCode,
+        samples: list[ExposureCategory],
+        raw_responses: list[str],
+    ) -> None:
+        self.model_id = model_id
+        self.occupation_code = occupation_code
+        self.samples = samples
+        self.raw_responses = raw_responses
+        if len(samples) != len(raw_responses):
             raise ComputationError("samples and raw_responses must align one-to-one")
 
 
@@ -363,12 +365,12 @@ class LogicalClock:
         return stamp.isoformat(timespec="seconds")
 
 
-@dataclass
 class AnnotationStore:
     """Append-only JSON-lines record of annotation runs."""
 
-    path: Path
-    clock: Callable[[], str] = field(default=utc_now_iso)
+    def __init__(self, path: Path, clock: Callable[[], str] = utc_now_iso) -> None:
+        self.path = path
+        self.clock = clock
 
     def append(self, runs: Iterable[AnnotationRun]) -> None:
         """Append one record per run in a single buffered write."""

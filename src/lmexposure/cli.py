@@ -16,7 +16,6 @@ import importlib
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -42,16 +41,26 @@ EXIT_COMPUTE = 4
 CLIENT_ENV_VAR = "LMEXPOSURE_CLIENT"
 
 
-@dataclass
+class ConfigError(LmExposureError):
+    """Command-line options that cannot apply to the inputs given: exit 2."""
+
+
 class RunConfig:
     """What a run consumed and produced, for the manifest."""
 
-    command: str
-    inputs: dict[str, Path] = field(default_factory=dict)
-    outputs: dict[str, Path] = field(default_factory=dict)
-    parameters: dict[str, object] = field(default_factory=dict)
-    # Defaults to ``<primary output>.manifest.json``.
-    manifest: Path | None = None
+    def __init__(
+        self,
+        command: str,
+        inputs: dict[str, Path] | None = None,
+        outputs: dict[str, Path] | None = None,
+        parameters: dict[str, object] | None = None,
+        manifest: Path | None = None,  # defaults to ``<primary output>.manifest.json``
+    ) -> None:
+        self.command = command
+        self.inputs = {} if inputs is None else inputs
+        self.outputs = {} if outputs is None else outputs
+        self.parameters = {} if parameters is None else parameters
+        self.manifest = manifest
 
     def add_input(self, role: str, path: str | Path) -> Path:
         p = Path(path)
@@ -384,6 +393,11 @@ def _scenario_inputs(args: argparse.Namespace, config: RunConfig):
     sectors, law = econ.load_scenario(
         config.add_input("scenario", args.scenario), r_occ=r_occ, rho_override=args.rho
     )
+    if args.rho is not None and not isinstance(law, econ.ExponentialGrowth):
+        raise ConfigError(
+            f"--rho applies to an exponential law only; "
+            f"scenario {args.scenario} has a tabulated law"
+        )
     return sectors, law
 
 
@@ -686,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InputFormatError as exc:

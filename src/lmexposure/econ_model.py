@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,15 +30,26 @@ class UnsupportedLawError(ComputationError):
     """Operation defined in closed form only for the exponential law."""
 
 
-@dataclass(frozen=True)
-class ExponentialGrowth:
+class _Immutable:
+    """A growth law is validated once, in its constructor, so it cannot change."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ExponentialGrowth(_Immutable):
     """Productivity multiplier exp(r / rho); steeper for smaller rho."""
 
-    rho: float
+    __slots__ = ("rho",)
 
-    def __post_init__(self) -> None:
-        if not self.rho > 0:
-            raise ComputationError(f"rho must be positive, got {self.rho}")
+    def __init__(self, rho: float) -> None:
+        if not rho > 0:
+            raise ComputationError(f"rho must be positive, got {rho}")
+        object.__setattr__(self, "rho", rho)
 
     def __call__(self, r: float) -> float:
         if r < 0:
@@ -47,8 +57,7 @@ class ExponentialGrowth:
         return math.exp(r / self.rho)
 
 
-@dataclass(frozen=True)
-class TabulatedGrowth:
+class TabulatedGrowth(_Immutable):
     """Piecewise-linear growth law from (exposure, factor) breakpoints.
 
     The table must start at exposure 0, be non-decreasing in both
@@ -56,21 +65,22 @@ class TabulatedGrowth:
     factor stays at its final value.
     """
 
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: tuple[tuple[float, float], ...]) -> None:
+        if not points:
             raise ComputationError("tabulated growth law needs at least one point")
-        if self.points[0][0] != 0.0:
+        if points[0][0] != 0.0:
             raise ComputationError("tabulated growth law must start at exposure 0")
         last_r = -math.inf
         last_g = -math.inf
-        for r, g in self.points:
+        for r, g in points:
             if g < 1.0:
                 raise ComputationError(f"growth factor {g} below 1 in table")
             if r <= last_r or g < last_g:
                 raise ComputationError("tabulated growth law must be non-decreasing")
             last_r, last_g = r, g
+        object.__setattr__(self, "points", points)
 
     def __call__(self, r: float) -> float:
         if r < 0:
@@ -138,7 +148,6 @@ def tabulated_threshold(
     return hi
 
 
-@dataclass
 class Sector:
     """One sector: id, baseline output share, damage ratio, derived exposure.
 
@@ -146,25 +155,20 @@ class Sector:
     output levels instead is converted to shares on loading.
     """
 
-    id: str
-    output_share: float
-    damage_ratio: float
-    exposure: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.output_share <= 1.0:
+    def __init__(self, id: str, output_share: float, damage_ratio: float, exposure: float) -> None:
+        self.id = id
+        self.output_share = output_share
+        self.damage_ratio = damage_ratio
+        self.exposure = exposure
+        if not 0.0 <= output_share <= 1.0:
+            raise ComputationError(f"sector {id!r}: output share {output_share} outside [0, 1]")
+        if not 0.0 <= damage_ratio < 1.0:
             raise ComputationError(
-                f"sector {self.id!r}: output share {self.output_share} outside [0, 1]"
-            )
-        if not 0.0 <= self.damage_ratio < 1.0:
-            raise ComputationError(
-                f"sector {self.id!r}: damage ratio {self.damage_ratio} outside [0, 1); "
+                f"sector {id!r}: damage ratio {damage_ratio} outside [0, 1); "
                 "damage would meet or exceed output"
             )
-        if not 0.0 <= self.exposure <= 1.0:
-            raise ComputationError(
-                f"sector {self.id!r}: exposure {self.exposure} outside [0, 1]"
-            )
+        if not 0.0 <= exposure <= 1.0:
+            raise ComputationError(f"sector {id!r}: exposure {exposure} outside [0, 1]")
 
 
 def check_share_sum(sectors: Sequence[Sector]) -> None:
@@ -230,7 +234,6 @@ def optimal_decisions(sectors: Sequence[Sector], law: GrowthLaw) -> list[int]:
     return [adopt_decision(s, law) for s in sectors]
 
 
-@dataclass
 class ContourGrid:
     """Aggregate growth over a (damage ratio, adoption ratio) grid.
 
@@ -239,9 +242,12 @@ class ContourGrid:
     adopt, for ratio ``ratio_grid[j]``.
     """
 
-    delta_grid: list[float]
-    ratio_grid: list[float]
-    values: list[list[float]]
+    def __init__(
+        self, delta_grid: list[float], ratio_grid: list[float], values: list[list[float]]
+    ) -> None:
+        self.delta_grid = delta_grid
+        self.ratio_grid = ratio_grid
+        self.values = values
 
 
 def contour_grid(
@@ -296,14 +302,16 @@ def default_ratio_grid(points: int = 21) -> list[float]:
 # --- scenario files ----------------------------------------------------------
 
 
-@dataclass
 class AdoptionScenario:
     """Sectors, growth law, decisions, and the resulting aggregate growth."""
 
-    sectors: list[Sector]
-    law: GrowthLaw
-    decisions: list[int]
-    aggregate_growth: float
+    def __init__(
+        self, sectors: list[Sector], law: GrowthLaw, decisions: list[int], aggregate_growth: float
+    ) -> None:
+        self.sectors = sectors
+        self.law = law
+        self.decisions = decisions
+        self.aggregate_growth = aggregate_growth
 
     @classmethod
     def solve(cls, sectors: Sequence[Sector], law: GrowthLaw) -> "AdoptionScenario":

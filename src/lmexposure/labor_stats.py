@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     SHARE_SUM_TOL,
@@ -39,8 +38,7 @@ class ConstantSeriesError(ComputationError):
     """Pearson r is undefined for a zero-variance series."""
 
 
-@dataclass(frozen=True)
-class SummaryEntry:
+class SummaryEntry(NamedTuple):
     """Count, mean and sample standard deviation of one series."""
 
     count: int
@@ -68,8 +66,7 @@ def stars_for(
     return ""
 
 
-@dataclass(frozen=True)
-class CorrResult:
+class CorrResult(NamedTuple):
     """Pearson correlation with its two-sided significance."""
 
     r: float
@@ -160,16 +157,14 @@ class OutcomeKind(Enum):
     VACANCY_SHARE_GROWTH = "vacancy_share_growth"
 
 
-@dataclass
 class OutcomeSeries:
     """Per-occupation outcome values of one kind."""
 
-    kind: OutcomeKind
-    values: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if self.kind is OutcomeKind.VACANCY_SHARE and self.values:
-            total = sum(self.values.values())
+    def __init__(self, kind: OutcomeKind, values: dict[str, float]) -> None:
+        self.kind = kind
+        self.values = values
+        if kind is OutcomeKind.VACANCY_SHARE and values:
+            total = sum(values.values())
             if not abs(total - 1.0) <= SHARE_SUM_TOL:  # NaN fails too
                 raise ComputationError(
                     f"vacancy shares sum to {total:.12g}, expected 1 within {SHARE_SUM_TOL}"
@@ -201,14 +196,20 @@ def share_growth(shares_t0: OutcomeSeries, shares_t1: OutcomeSeries) -> OutcomeS
     return OutcomeSeries(kind=OutcomeKind.VACANCY_SHARE_GROWTH, values=growth)
 
 
-@dataclass
 class ScatterReport:
     """Paired exposure/outcome rows with correlation and OLS fit line."""
 
-    rows: list[tuple[str, str, float, float]]  # (code, title, exposure, outcome)
-    corr: CorrResult
-    slope: float
-    intercept: float
+    def __init__(
+        self,
+        rows: list[tuple[str, str, float, float]],  # (code, title, exposure, outcome)
+        corr: CorrResult,
+        slope: float,
+        intercept: float,
+    ) -> None:
+        self.rows = rows
+        self.corr = corr
+        self.slope = slope
+        self.intercept = intercept
 
     @property
     def n(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -50,14 +49,12 @@ def ensemble(per_model_score: Mapping[str, float]) -> float:
     return sum(per_model_score.values()) / len(per_model_score)
 
 
-@dataclass
 class ExpertPanel:
     """Individual expert scores per occupation code."""
 
-    scores: dict[str, list[float]]
-
-    def __post_init__(self) -> None:
-        for code, values in self.scores.items():
+    def __init__(self, scores: dict[str, list[float]]) -> None:
+        self.scores = scores
+        for code, values in scores.items():
             for v in values:
                 if not 0.0 <= v <= 1.0:
                     raise ComputationError(
@@ -101,20 +98,20 @@ def read_expert_panel(source: str | Path) -> ExpertPanel:
 # --- score table file --------------------------------------------------------
 
 
-@dataclass
 class ScoreRow:
     """One row of the canonical score table; an empty cell has no key."""
 
-    code: str
-    title: str
-    scores: dict[str, float]
+    def __init__(self, code: str, title: str, scores: dict[str, float]) -> None:
+        self.code = code
+        self.title = title
+        self.scores = scores
 
 
-@dataclass
 class ScoreTable:
     """Ordered score table matching the canonical file layout."""
 
-    rows: list[ScoreRow]
+    def __init__(self, rows: list[ScoreRow]) -> None:
+        self.rows = rows
 
     def column(self, name: str) -> dict[str, float]:
         """Non-missing values of one column, keyed by occupation code."""

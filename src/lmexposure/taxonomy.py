@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import re
-from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -50,12 +49,22 @@ class MissingScoreError(ComputationError):
     """A non-excluded leaf occupation has no score to aggregate."""
 
 
-@dataclass(frozen=True)
 class OccupationCode:
-    """A validated classification code plus its derived level."""
+    """A validated classification code plus its derived level.
 
-    raw: str
-    level: Level
+    Immutable: ``parse`` hands one cached instance to every caller.
+    """
+
+    __slots__ = ("raw", "level")
+
+    def __init__(self, raw: str, level: Level) -> None:
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "level", level)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"OccupationCode is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @classmethod
     @functools.lru_cache(maxsize=4096)  # a command meets one code in several files
@@ -80,15 +89,22 @@ class OccupationCode:
         return self.raw
 
 
-@dataclass
 class OccupationNode:
     """One node of the taxonomy tree."""
 
-    code: OccupationCode
-    title: str
-    description: str
-    excluded: bool
-    children: list["OccupationNode"] = field(default_factory=list)
+    def __init__(
+        self,
+        code: OccupationCode,
+        title: str,
+        description: str,
+        excluded: bool,
+        children: list[OccupationNode] | None = None,
+    ) -> None:
+        self.code = code
+        self.title = title
+        self.description = description
+        self.excluded = excluded
+        self.children = [] if children is None else children
 
     @property
     def is_leaf(self) -> bool:

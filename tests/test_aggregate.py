@@ -14,6 +14,8 @@ from lmexposure.aggregate import (
     RowSumError,
     demographic_exposure,
     industry_exposure,
+    read_industry_names,
+    read_industry_scores,
 )
 from lmexposure.errors import InputFormatError
 from lmexposure.fixtures import fixture_path
@@ -202,3 +204,21 @@ def test_share_file_ragged_row(tmp_path):
     with pytest.raises(InputFormatError) as err:
         IntensityMatrix.from_csv(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (IntensityMatrix.from_csv, "industry_id,2-01,2-02\ni1,0.5,0.5\ni1,1.0,0.0\n"),
+        (DemographicShares.from_csv, "age_group,i1,i2\na1,0.5,0.5\na1,1.0,0.0\n"),
+        (read_industry_scores, "industry_id,score\n1,0.2\n1,0.9\n"),
+        (read_industry_names, "industry_id,name\n1,Mining\n1,Energy\n"),
+    ],
+    ids=["intensity", "demographic", "industry_scores", "industry_names"],
+)
+def test_repeated_row_label_is_rejected_at_its_line(tmp_path, reader, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match="duplicate") as err:
+        reader(path)
+    assert (err.value.path, err.value.line) == (str(path), 3)

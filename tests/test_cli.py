@@ -266,6 +266,55 @@ def test_nan_share_is_input_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["industry", "demographic"])
+def test_repeated_share_row_label_exits_3_in_command_and_validate(tmp_path, capsys, command):
+    # Results are keyed by row label, so a repeated label would replace a row.
+    industry_scores = tmp_path / "industry.csv"
+    industry_scores.write_text("industry_id,score\ni1,0.3\ni2,0.5\n")
+    bad = tmp_path / "shares.csv"
+    out = tmp_path / "out.csv"
+    if command == "industry":
+        bad.write_text("industry_id,2-01,2-02\ni1,0.5,0.5\ni1,1.0,0.0\n")
+        argv = ["industry", "--intensity", str(bad), "--scores", SCORES]
+        validate = ["validate", "--intensity", str(bad)]
+    else:
+        bad.write_text("age_group,i1,i2\na1,0.5,0.5\na1,1.0,0.0\n")
+        argv = ["demographic", "--demographics", str(bad)]
+        argv += ["--industry-scores", str(industry_scores)]
+        validate = ["validate", "--demographics", str(bad)]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    assert f"{bad}:3: duplicate" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(validate) == EXIT_INPUT
+    assert f"{bad}:3: duplicate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("reader", ["industry-scores", "industries"])
+def test_repeated_industry_id_exits_3(tmp_path, capsys, reader):
+    bad = tmp_path / "industry.csv"
+    out = tmp_path / "out.csv"
+    if reader == "industry-scores":
+        bad.write_text("industry_id,score\n1,0.2\n1,0.9\n")
+        argv = ["demographic", "--demographics", DEMOGRAPHICS, "--industry-scores", str(bad)]
+    else:
+        bad.write_text("industry_id,name\n1,Mining\n1,Energy\n")
+        argv = ["industry", "--intensity", INTENSITY, "--scores", SCORES]
+        argv += ["--industries", str(bad)]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    assert f"{bad}:3: duplicate industry_id '1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_industry_list_row_without_name_exits_3(tmp_path, capsys):
+    names = tmp_path / "industries.csv"
+    names.write_text("industry_id,name\n1,Mining\n2\n")
+    out = tmp_path / "out.csv"
+    argv = ["industry", "--intensity", INTENSITY, "--scores", SCORES, "--industries", str(names)]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    assert f"{names}:3: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["abc", "nan", "1.5", "-0.1"])
 def test_expert_score_must_be_a_finite_number(tmp_path, capsys, bad):
     store = tmp_path / "store.jsonl"
@@ -389,6 +438,21 @@ def test_non_finite_rho_is_input_error(tmp_path, capsys, command, rho):
     assert code == EXIT_INPUT
     assert "--rho" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "contour"])
+def test_rho_on_a_tabulated_law_is_config_error(tmp_path, capsys, command):
+    law = {"kind": "tabulated", "points": [[0.0, 1.0], [1.0, 2.0]]}
+    sector = {"id": "a", "share": 1.0, "exposure": 0.5, "delta": 0.1}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"law": law, "sectors": [sector]}))
+    out = tmp_path / "out"
+    argv = [command, "--scenario", str(scenario), "--out", str(out)]
+    assert main([*argv, "--rho", "5"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--rho applies to an exponential law only" in err and str(scenario) in err
+    assert not out.exists()
+    assert main(argv) == EXIT_OK
 
 
 @pytest.mark.parametrize("config", [{"rho": "abc", "sectors": []}, [1]])
@@ -612,6 +676,27 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
     assert "lmexposure.labor_stats" in after_stats
     assert "lmexposure.annotate" not in after_stats
     assert "lmexposure.econ_model" not in after_stats
+
+
+def test_no_module_or_command_loads_dataclasses_or_inspect(tmp_path):
+    # dataclasses imports inspect, dis, ast and tokenize: ~17 ms of start-up
+    # on every command, for what plain classes give as well.
+    package_root = Path(lmexposure.__file__).parents[1]
+    modules = "aggregate annotate cli econ_model errors labor_stats runio scores taxonomy"
+    code = (
+        "import importlib, sys\n"
+        f"for name in {modules.split()!r}: importlib.import_module('lmexposure.' + name)\n"
+        "from lmexposure.cli import main\n"
+        f"assert main(['stats', '--scores', {SCORES!r}, '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        f"assert main(['contour', '--scenario', {SCENARIO!r}, '--out', {str(tmp_path / 'c')!r}])"
+        " == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 # --- determinism ----------------------------------------------------------------

@@ -87,6 +87,16 @@ def test_tabulated_validation():
         TabulatedGrowth(points=((0.0, 2.0), (0.5, 1.5)))  # decreasing
 
 
+def test_growth_laws_are_immutable():
+    # Each law is validated once, in its constructor; a later change would skip that.
+    exponential = ExponentialGrowth(rho=1.0)
+    tabulated = TabulatedGrowth(points=((0.0, 1.0), (1.0, 2.0)))
+    for law, field, value in ((exponential, "rho", -1.0), (tabulated, "points", ((0.0, 0.5),))):
+        with pytest.raises(AttributeError):
+            setattr(law, field, value)
+    assert exponential.rho == 1.0 and tabulated.points == ((0.0, 1.0), (1.0, 2.0))
+
+
 # --- thresholds --------------------------------------------------------------------
 
 

@@ -54,6 +54,14 @@ def test_parents():
     assert OccupationCode.parse("4").parent_raw() is None
 
 
+def test_parsed_code_is_shared_and_immutable():
+    code = OccupationCode.parse("2-06")
+    assert OccupationCode.parse("2-06") is code  # the parse cache hands out one instance
+    with pytest.raises(AttributeError):
+        code.raw = "3"
+    assert code.raw == "2-06"
+
+
 # --- loading -----------------------------------------------------------------
 
 
