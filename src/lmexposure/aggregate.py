@@ -121,6 +121,9 @@ def _read_share_file(source: str | Path, key_column: str):
             if key_column == "industry_id":  # intensity columns are occupation codes
                 for code in columns:
                     OccupationCode.parse(code)
+            if len(set(columns)) < len(columns):  # weights meet scores by column name
+                repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
+                raise InputFormatError(f"header names column {repeated!r} twice", line=1)
             for row in reader:
                 if not row:
                     continue

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
@@ -205,34 +204,72 @@ def annotate_nodes(
     Each (occupation, sample) job is an independent request, retried up to
     ``max_retries`` times on unparseable responses and transport failures.
     A ``"concurrent"`` client gets ``in_flight`` workers across all
-    occupations, any other client one worker taking the jobs in order.
-    Results are reassembled by index; the first failed sample cancels the
-    jobs not yet started.
+    occupations, the calling thread among them; any other client runs the
+    jobs in order on the calling thread. Results are reassembled by index;
+    the first failed sample stops the jobs not yet started.
     """
     if n_samples < 1:
         raise ComputationError(f"n_samples must be >= 1, got {n_samples}")
+    if in_flight < 1:
+        raise ComputationError(f"in_flight must be >= 1, got {in_flight}")
     nodes = list(nodes)
     prompts = [render_prompt(node, rubric, language_tag).text() for node in nodes]
     config = dict(decode_config or {})
     concurrent = getattr(client, "capability", "serial") == "concurrent"
-    with ThreadPoolExecutor(max_workers=max(1, in_flight) if concurrent else 1) as pool:
-        futures = [
-            pool.submit(_collect_sample, client, prompt, config, max_retries)
-            for prompt in prompts
-            for _ in range(n_samples)
-        ]
-        try:
-            for future in as_completed(futures):
-                future.result()
-        except BaseException:  # a failed sample or an interrupt: drop the queue
-            pool.shutdown(cancel_futures=True)
-            raise
-    results = [future.result() for future in futures]
+    results = _run_queue(
+        lambda job: _collect_sample(client, prompts[job // n_samples], config, max_retries),
+        len(prompts) * n_samples,
+        in_flight if concurrent else 1,
+    )
     chunks = [results[i : i + n_samples] for i in range(0, len(results), n_samples)]
     return [
         AnnotationRun(model_id, node.code, [cat for cat, _ in chunk], [raw for _, raw in chunk])
         for node, chunk in zip(nodes, chunks)
     ]
+
+
+def _run_queue(task: Callable[[int], object], n_jobs: int, workers: int) -> list:
+    """``[task(0), ..., task(n_jobs - 1)]`` on the calling thread plus helpers.
+
+    ``workers - 1`` helper threads (none for one worker, which runs the jobs
+    in order) take job indices from one counter under a lock. The first
+    failure, or an interrupt of the calling thread, stops every worker from
+    taking a new job; it is re-raised once the helpers have joined.
+    """
+    results: list = [None] * n_jobs
+    lock = threading.Lock()
+    jobs = iter(range(n_jobs))
+    failures: list[BaseException] = []
+
+    def work() -> None:
+        while True:
+            with lock:
+                job = None if failures else next(jobs, None)
+            if job is None:
+                return
+            try:
+                results[job] = task(job)
+            except BaseException as exc:
+                with lock:
+                    failures.append(exc)
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(min(workers, n_jobs) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+        for helper in helpers:
+            helper.join()
+    except BaseException as exc:  # interrupted outside a job: stop the helpers too
+        with lock:
+            failures.append(exc)
+        for helper in helpers:
+            helper.join()
+        raise
+    if failures:
+        raise failures[0]
+    return results
 
 
 # --- deterministic mock clients -------------------------------------------

@@ -1,0 +1,112 @@
+"""``simulate`` and ``contour``: the multi-sector adoption model."""
+
+from __future__ import annotations
+
+import argparse
+import math
+from pathlib import Path
+
+from .. import econ_model as econ
+from .. import runio
+from .. import scores as sc
+from ..errors import EXIT_OK, InputFormatError
+from . import RunConfig
+
+
+def _scenario_inputs(args: argparse.Namespace, config: RunConfig):
+    if args.rho is not None and not math.isfinite(args.rho):
+        raise InputFormatError(f"--rho must be a finite number, got {args.rho}")
+    r_occ = None
+    if args.scores:
+        r_occ = sc.read_score_table(config.add_input("scores", args.scores)).column(args.column)
+    return econ.load_scenario(
+        config.add_input("scenario", args.scenario), r_occ=r_occ, rho_override=args.rho
+    )
+
+
+def _law_payload(law: econ.GrowthLaw) -> dict[str, object]:
+    if isinstance(law, econ.ExponentialGrowth):
+        return {"kind": "exponential", "rho": law.rho}
+    return {"kind": "tabulated", "points": [list(p) for p in law.points]}
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config = RunConfig(command="simulate")
+    sectors, law = _scenario_inputs(args, config)
+    scenario = econ.AdoptionScenario.solve(sectors, law)
+    rows = []
+    for sector, decision in zip(scenario.sectors, scenario.decisions):
+        row = {
+            "id": sector.id,
+            "share": sector.output_share,
+            "delta": sector.damage_ratio,
+            "exposure": sector.exposure,
+            "growth_factor": econ.growth_factor(law, sector.exposure),
+            "decision": decision,
+            "damage": econ.sector_damage(sector, law, decision),
+        }
+        if isinstance(law, econ.ExponentialGrowth):
+            row["threshold"] = econ.adoption_threshold(sector.damage_ratio, law)
+        rows.append(row)
+    payload = {
+        "kind": "simulate",
+        "law": _law_payload(law),
+        "aggregate_growth": scenario.aggregate_growth,
+        "adopting_sectors": sum(scenario.decisions),
+        "sectors": rows,
+    }
+    config.parameters = {"rho": args.rho}
+    config.emit({"report": (Path(args.out), runio.dump_json(payload, args.full_precision))})
+    return EXIT_OK
+
+
+def _parse_grid(spec: str | None, default: list[float]) -> list[float]:
+    if spec is None:
+        return default
+    try:
+        if ":" in spec:
+            lo_s, hi_s, n_s = spec.split(":")
+            values, n = [float(lo_s), float(hi_s)], int(n_s)
+        else:
+            values, n = [float(v) for v in spec.split(",")], None
+        if not all(map(math.isfinite, values)):
+            raise ValueError
+    except ValueError:
+        raise InputFormatError(
+            f"grid must be lo:hi:n or a comma-separated list of numbers, got {spec!r}"
+        ) from None
+    if n is None:
+        return values
+    if n < 1:
+        raise InputFormatError(f"grid needs at least one point, got {n}")
+    lo, hi = values
+    if n == 1:
+        return [lo]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def cmd_contour(args: argparse.Namespace) -> int:
+    config = RunConfig(command="contour")
+    sectors, law = _scenario_inputs(args, config)
+    sectors = sorted(sectors, key=lambda s: s.exposure, reverse=True)
+    delta_grid = _parse_grid(args.delta_grid, econ.default_delta_grid())
+    ratio_grid = _parse_grid(args.ratio_grid, econ.default_ratio_grid())
+    grid = econ.contour_grid(sectors, law, delta_grid, ratio_grid)
+
+    header = "delta\\ratio," + ",".join(
+        sc.format_score(r, args.full_precision) for r in grid.ratio_grid
+    )
+    lines = [header]
+    for delta, row in zip(grid.delta_grid, grid.values):
+        lines.append(
+            sc.format_score(delta, args.full_precision)
+            + ","
+            + ",".join(sc.format_score(v, args.full_precision) for v in row)
+        )
+    config.parameters = {
+        "rho": args.rho,
+        "delta_points": len(delta_grid),
+        "ratio_points": len(ratio_grid),
+    }
+    config.emit({"contour": (Path(args.out), "\n".join(lines) + "\n")})
+    return EXIT_OK

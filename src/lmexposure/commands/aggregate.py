@@ -1,0 +1,92 @@
+"""``aggregate``, ``industry`` and ``demographic``: the linear roll-ups."""
+
+from __future__ import annotations
+
+import argparse
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+from .. import scores as sc
+from .. import taxonomy as tax
+from ..errors import EXIT_OK
+from . import RunConfig
+
+if TYPE_CHECKING:  # hints only: the ``aggregate`` command needs no projection
+    from .. import aggregate as agg
+
+
+def aggregated_csv(
+    taxonomy: tax.Taxonomy, leaf_scores: dict[str, float], full_precision: bool
+) -> str:
+    rolled = tax.aggregate_up(taxonomy, leaf_scores)
+    lines = ["code,title,level,score"]
+    for node in taxonomy.walk():
+        raw = node.code.raw
+        if raw in rolled:
+            title = '"' + node.title.replace('"', '""') + '"'
+            lines.append(
+                f"{raw},{title},{node.code.level.name.lower()},"
+                f"{sc.format_score(rolled[raw], full_precision)}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def industry_csv(
+    matrix: agg.IntensityMatrix,
+    r_occ: dict[str, float],
+    full_precision: bool,
+    names: dict[str, str] | None = None,
+) -> str:
+    from .. import aggregate as agg
+
+    result = agg.industry_exposure(matrix, r_occ)
+    lines = ["industry_id,name,score" if names else "industry_id,score"]
+    for ind in matrix.industries:
+        cells = [ind]
+        if names:
+            cells.append('"' + names.get(ind, "").replace('"', '""') + '"')
+        cells.append(sc.format_score(result[ind], full_precision))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def cmd_aggregate(args: argparse.Namespace) -> int:
+    config = RunConfig(command="aggregate")
+    config.parameters = {"column": args.column, "full_precision": args.full_precision}
+    taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
+    leaf_scores = sc.read_score_table(config.add_input("scores", args.scores)).column(args.column)
+    text = aggregated_csv(taxonomy, leaf_scores, args.full_precision)
+    config.emit({"aggregated": (Path(args.out), text)})
+    return EXIT_OK
+
+
+def cmd_industry(args: argparse.Namespace) -> int:
+    from .. import aggregate as agg
+
+    config = RunConfig(command="industry")
+    config.parameters = {"column": args.column, "full_precision": args.full_precision}
+    matrix = agg.IntensityMatrix.from_csv(config.add_input("intensity", args.intensity))
+    r_occ = sc.read_score_table(config.add_input("scores", args.scores)).column(args.column)
+    names = None
+    if args.industries:
+        names = agg.read_industry_names(config.add_input("industries", args.industries))
+    text = industry_csv(matrix, r_occ, args.full_precision, names)
+    config.emit({"industry": (Path(args.out), text)})
+    return EXIT_OK
+
+
+def cmd_demographic(args: argparse.Namespace) -> int:
+    from .. import aggregate as agg
+
+    config = RunConfig(command="demographic")
+    config.parameters = {"full_precision": args.full_precision}
+    shares = agg.DemographicShares.from_csv(
+        config.add_input("demographics", args.demographics)
+    )
+    r_ind = agg.read_industry_scores(config.add_input("industry_scores", args.industry_scores))
+    result = agg.demographic_exposure(shares, r_ind)
+    lines = ["age_group,score"]
+    for group in shares.age_groups:
+        lines.append(f"{group},{sc.format_score(result[group], args.full_precision)}")
+    config.emit({"demographic": (Path(args.out), "\n".join(lines) + "\n")})
+    return EXIT_OK

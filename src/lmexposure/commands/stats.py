@@ -1,0 +1,89 @@
+"""``stats``: summary panels, pairwise correlations and scatter reports."""
+
+from __future__ import annotations
+
+import argparse
+from pathlib import Path
+
+from .. import labor_stats as lstats
+from .. import runio
+from .. import scores as sc
+from ..errors import EXIT_OK
+from . import RunConfig
+
+
+def corr_payload(result: lstats.CorrResult) -> dict[str, object]:
+    return {
+        "r": result.r,
+        "n": result.n,
+        "p_value": result.p_value,
+        "stars": result.stars,
+    }
+
+
+def summary_payload(table: sc.ScoreTable) -> dict[str, object]:
+    """Per-column count/mean/std and every pairwise correlation."""
+    columns = {name: table.column(name) for name in sc.SCORE_COLUMNS if table.column(name)}
+    summary = {
+        name: {
+            "count": (entry := lstats.summarize(list(values.values()))).count,
+            "mean": entry.mean,
+            "std": entry.std,
+        }
+        for name, values in columns.items()
+    }
+    panel = lstats.correlation_panel(columns)
+    names = list(columns)
+    correlations = [
+        {"a": a, "b": b, **corr_payload(panel[(a, b)])}
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    ]
+    return {"kind": "summary", "columns": summary, "correlations": correlations}
+
+
+def cmd_stats(args: argparse.Namespace) -> int:
+    config = RunConfig(command="stats")
+    table = sc.read_score_table(config.add_input("scores", args.scores))
+    plot: dict[str, tuple[Path, str]] = {}
+
+    if args.outcomes:
+        outcome = lstats.read_outcome_csv(config.add_input("outcomes", args.outcomes))
+        exposure = table.column(args.column)
+        report = lstats.scatter_report(exposure, outcome, table.titles())
+        payload = {
+            "kind": "scatter",
+            "column": args.column,
+            "outcome_kind": outcome.kind.value,
+            "n": report.n,
+            "corr": corr_payload(report.corr),
+            "slope": report.slope,
+            "intercept": report.intercept,
+            "rows": [
+                {"code": code, "title": title, "exposure": x, "outcome": y}
+                for code, title, x, y in report.rows
+            ],
+        }
+        config.parameters = {"mode": "scatter", "column": args.column}
+        if args.plot_data:
+            triples = ["x,y,label"]
+            for code, _, x, y in report.rows:
+                x_text = sc.format_score(x, args.full_precision)
+                triples.append(f"{x_text},{sc.format_score(y, args.full_precision)},{code}")
+            plot["plot_data"] = (Path(args.plot_data), "\n".join(triples) + "\n")
+    elif args.pair:
+        a, b = args.pair
+        col_a = table.column(a)
+        col_b = table.column(b)
+        common = sorted(set(col_a) & set(col_b))
+        result = lstats.pearson([col_a[c] for c in common], [col_b[c] for c in common])
+        payload = {"kind": "pair", "a": a, "b": b, **corr_payload(result)}
+        config.parameters = {"mode": "pair", "a": a, "b": b}
+    else:
+        payload = summary_payload(table)
+        config.parameters = {"mode": "summary"}
+
+    # The report is the primary output: the manifest is named after it.
+    report_out = (Path(args.out), runio.dump_json(payload, args.full_precision))
+    config.emit({"report": report_out, **plot})
+    return EXIT_OK

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 from .errors import (
     SHARE_SUM_TOL,
     ComputationError,
+    ConfigError,
     InputFormatError,
     located,
     open_text,
@@ -335,7 +336,9 @@ def load_scenario(
     an occupation mix resolved against ``r_occ``), and a damage ratio. A
     top-level ``damage_kappa`` may replace missing per-sector damage ratios
     by kappa * exposure; that mapping is a modeling convenience with no
-    empirical grounding and must be opted into explicitly.
+    empirical grounding and must be opted into explicitly. ``rho_override``
+    replaces the rho of an exponential law; on a tabulated law it raises
+    ``ConfigError``.
     """
     with located(source):
         try:
@@ -426,7 +429,11 @@ def load_scenario(
             )
         check_share_sum(sectors)
     # A command-line rho is not the file's: its errors name no path.
-    if rho_override is not None and isinstance(law, ExponentialGrowth):
+    if rho_override is not None:
+        if not isinstance(law, ExponentialGrowth):
+            raise ConfigError(
+                f"--rho applies to an exponential law only; scenario {source} has a tabulated law"
+            )
         law = ExponentialGrowth(rho=rho_override)
     return sectors, law
 

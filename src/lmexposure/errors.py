@@ -1,9 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the CLI exit codes.
 
-Two broad families, mirrored by distinct CLI exit codes: problems with the
-bytes we were given (``InputFormatError``) and problems discovered while
-computing on otherwise well-formed inputs (``ComputationError``). A reader
-names the file it reads once, through ``located``.
+Three families, mirrored by distinct exit codes: options that cannot apply
+to the inputs given (``ConfigError``), problems with the bytes we were given
+(``InputFormatError``) and problems discovered while computing on otherwise
+well-formed inputs (``ComputationError``). A reader names the file it reads
+once, through ``located``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,18 @@ from typing import Iterator, TextIO
 # Tolerance of every sums-to-one check on shares and weights.
 SHARE_SUM_TOL = 1e-9
 
+EXIT_OK = 0
+EXIT_CONFIG = 2
+EXIT_INPUT = 3
+EXIT_COMPUTE = 4
+
 
 class LmExposureError(Exception):
     """Base class for all package errors."""
+
+
+class ConfigError(LmExposureError):
+    """Options that cannot apply to the inputs given: exit 2."""
 
 
 class InputFormatError(LmExposureError):

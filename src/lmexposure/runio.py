@@ -79,3 +79,8 @@ def write_manifest(
         "outputs": {name: sha256_file(p) for name, p in sorted(outputs.items())},
     }
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+# ``package.module:factory`` of the live classifier client, for ``annotate``.
+CLIENT_ENV_VAR = "LMEXPOSURE_CLIENT"
+

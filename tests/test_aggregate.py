@@ -222,3 +222,20 @@ def test_repeated_row_label_is_rejected_at_its_line(tmp_path, reader, text):
     with pytest.raises(InputFormatError, match="duplicate") as err:
         reader(path)
     assert (err.value.path, err.value.line) == (str(path), 3)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (IntensityMatrix.from_csv, "industry_id,2-01,2-01\ni1,0.5,0.5\n"),
+        (DemographicShares.from_csv, "age_group,1,1\na1,0.5,0.5\n"),
+    ],
+    ids=["intensity", "demographic"],
+)
+def test_repeated_column_is_rejected_at_the_header(tmp_path, reader, text):
+    # Weights are matched to scores by column name: a repeat would count twice.
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match="header names column '(2-01|1)' twice") as err:
+        reader(path)
+    assert (err.value.path, err.value.line) == (str(path), 1)

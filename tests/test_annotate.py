@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import threading
 import time
 
@@ -26,7 +27,7 @@ from lmexposure.annotate import (
     read_annotation_store,
     render_prompt,
 )
-from lmexposure.errors import InputFormatError
+from lmexposure.errors import ComputationError, InputFormatError
 from lmexposure.taxonomy import load_taxonomy
 
 E0, E1, E2, E3 = ExposureCategory
@@ -152,6 +153,35 @@ def test_n_samples_must_be_positive():
         annotate_occupation(CycleMockClient(["E1"]), _node(), model_id="m", n_samples=0)
 
 
+@pytest.mark.parametrize("in_flight", [0, -3])
+def test_in_flight_must_be_positive(in_flight):
+    with pytest.raises(ComputationError, match="in_flight"):
+        annotate_occupation(CycleMockClient(["E1"]), _node(), model_id="m", in_flight=in_flight)
+
+
+def test_serial_client_runs_in_order_on_the_calling_thread():
+    class Recording:
+        capability = "serial"
+
+        def __init__(self):
+            self.calls = []
+
+        def complete(self, prompt_text, decode_config):
+            title = prompt_text.split("Occupation title: ")[1].split("\n")[0]
+            self.calls.append((title, threading.get_ident(), threading.active_count()))
+            return "E1"
+
+    client = Recording()
+    threads_before = threading.active_count()
+    nodes = _leaf_nodes(["Title A", "Title B", "Title C"])
+    annotate_nodes(client, nodes, model_id="m", n_samples=2, in_flight=8)
+    assert [title for title, _, _ in client.calls] == ["Title A"] * 2 + ["Title B"] * 2 + [
+        "Title C"
+    ] * 2
+    assert {ident for _, ident, _ in client.calls} == {threading.get_ident()}
+    assert {count for _, _, count in client.calls} == {threads_before}
+
+
 def test_concurrent_dispatch_reassembles_by_index():
     class SlowCounting:
         capability = "concurrent"
@@ -238,6 +268,62 @@ def test_failed_sample_cancels_the_queue():
         annotate_nodes(client, nodes, model_id="m", n_samples=8, max_retries=2, in_flight=4)
     # 30 x 8 samples queued; the run stops once the first sample fails.
     assert client.calls < 60
+
+
+def test_interrupt_on_the_calling_thread_stops_the_queue():
+    calling_thread = threading.get_ident()
+
+    class InterruptedOnCaller:
+        capability = "concurrent"
+
+        def __init__(self):
+            self._lock = threading.Lock()
+            self.calls = 0
+
+        def complete(self, prompt_text, decode_config):
+            with self._lock:
+                self.calls += 1
+            if threading.get_ident() == calling_thread:
+                raise KeyboardInterrupt
+            time.sleep(0.001)
+            return "E1"
+
+    client = InterruptedOnCaller()
+    threads_before = threading.active_count()
+    nodes = _leaf_nodes([f"Title {i}" for i in range(30)])
+    with pytest.raises(KeyboardInterrupt):
+        annotate_nodes(client, nodes, model_id="m", n_samples=8, in_flight=4)
+    assert client.calls < 60
+    assert threading.active_count() == threads_before  # the helpers have joined
+
+
+def test_work_queue_takes_each_job_once_under_contention():
+    class Echo:
+        """Answers with the category named by the occupation's number."""
+
+        capability = "concurrent"
+
+        def __init__(self):
+            self._lock = threading.Lock()
+            self.calls = 0
+
+        def complete(self, prompt_text, decode_config):
+            with self._lock:
+                self.calls += 1
+            title = prompt_text.split("Occupation title: ")[1].split("\n")[0]
+            return f"E{int(title.split()[-1]) % 4}"
+
+    client = Echo()
+    nodes = _leaf_nodes([f"Title {i}" for i in range(40)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = annotate_nodes(client, nodes, model_id="m", n_samples=25, in_flight=16)
+    finally:
+        sys.setswitchinterval(interval)
+    # A job taken twice adds a call; a job skipped leaves a hole in the results.
+    assert client.calls == 40 * 25
+    assert [run.samples for run in runs] == [[ExposureCategory(f"E{i % 4}")] * 25 for i in range(40)]
 
 
 # --- scripted mock and config loading ------------------------------------------

@@ -678,6 +678,82 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
     assert "lmexposure.econ_model" not in after_stats
 
 
+@pytest.mark.parametrize(
+    "argv, own",
+    [
+        (["stats", "--scores", SCORES], ["commands.stats", "labor_stats"]),
+        (["aggregate", "--taxonomy", TAXONOMY, "--scores", SCORES], ["commands.aggregate"]),
+    ],
+    ids=["stats", "aggregate"],
+)
+def test_a_command_loads_only_its_own_modules(tmp_path, argv, own):
+    package_root = Path(lmexposure.__file__).parents[1]
+    code = (
+        "import sys, lmexposure.cli\n"
+        f"assert lmexposure.cli.main({argv + ['--out', str(tmp_path / 'out')]!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('lmexposure')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    base = ["cli", "commands", "errors", "runio", "scores", "taxonomy"]
+    expected = ["lmexposure"] + [f"lmexposure.{name}" for name in base + own]
+    assert result.stdout.strip() == str(sorted(expected))
+
+
+def test_no_handler_imports_the_cli_module(tmp_path):
+    # Under ``python -m lmexposure.cli`` the running module is __main__: a
+    # handler importing lmexposure.cli would compile and run cli.py again.
+    package_root = Path(lmexposure.__file__).parents[1]
+    out = str(tmp_path / "out")
+    commands = [
+        ["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "glm",
+         "--n-samples", "1", "--out", str(tmp_path / "store.jsonl")],
+        ["score", "--scores", SCORES, "--out", out],
+        ["industry", "--intensity", INTENSITY, "--scores", SCORES, "--out", out],
+        ["stats", "--scores", SCORES, "--out", out],
+        ["simulate", "--scenario", SCENARIO, "--out", out],
+        ["validate", "--scores", SCORES],
+        ["pipeline", "--scores", SCORES, "--taxonomy", TAXONOMY, "--intensity", INTENSITY,
+         "--outdir", str(tmp_path / "pipeline")],
+    ]
+    code = (
+        "import runpy, sys\n"
+        f"for argv in {commands!r}:\n"
+        "    sys.argv = ['lmexposure', *argv]\n"
+        "    try:\n"
+        "        runpy.run_module('lmexposure.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (argv, exc.code)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('lmexposure.c')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    groups = ["adoption", "aggregate", "annotate", "pipeline", "score", "stats", "validate"]
+    assert result.stdout.strip() == str(
+        ["lmexposure.commands"] + [f"lmexposure.commands.{g}" for g in groups]
+    )
+
+
+def test_mock_annotate_loads_no_thread_pool_or_logging(tmp_path):
+    package_root = Path(lmexposure.__file__).parents[1]
+    argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "glm",
+            "--n-samples", "2", "--out", str(tmp_path / "store.jsonl")]
+    code = (
+        "import sys, lmexposure.cli\n"
+        f"assert lmexposure.cli.main({argv!r}) == 0\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_no_module_or_command_loads_dataclasses_or_inspect(tmp_path):
     # dataclasses imports inspect, dis, ast and tokenize: ~17 ms of start-up
     # on every command, for what plain classes give as well.
@@ -748,6 +824,8 @@ def test_fixed_seed_runs_are_byte_identical(tmp_path):
     [
         ("--n-samples", "0", "--n-samples"),
         ("--max-retries", "-1", "--max-retries"),
+        ("--in-flight", "0", "--in-flight"),
+        ("--in-flight", "-3", "--in-flight"),
         ("--models", ",", "--models"),
         ("--models", "glm,gpt5", "gpt5"),
     ],

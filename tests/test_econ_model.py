@@ -27,7 +27,7 @@ from lmexposure.econ_model import (
     sector_damage,
     tabulated_threshold,
 )
-from lmexposure.errors import ComputationError, InputFormatError
+from lmexposure.errors import ComputationError, ConfigError, InputFormatError
 from lmexposure.fixtures import fixture_path
 
 
@@ -504,3 +504,15 @@ def test_rho_override(tmp_path):
     )
     _, law = load_scenario(path, rho_override=3.0)
     assert law.rho == 3.0
+
+
+def test_rho_override_on_a_tabulated_law_is_refused(tmp_path):
+    path = tmp_path / "scenario.json"
+    law = {"kind": "tabulated", "points": [[0.0, 1.0], [1.0, 2.0]]}
+    path.write_text(
+        json.dumps({"law": law, "sectors": [{"id": "a", "share": 1.0, "exposure": 0.4, "delta": 0.1}]})
+    )
+    with pytest.raises(ConfigError, match="--rho applies to an exponential law only"):
+        load_scenario(path, rho_override=3.0)
+    _, unchanged = load_scenario(path)
+    assert isinstance(unchanged, TabulatedGrowth)

@@ -167,6 +167,8 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @example(case="outcomes", index=_at("outcomes", "2-01"), token="2-x")
 @example(case="intensity", index=_at("intensity", "2-01"), token="2-x")
 @example(case="outcomes", index=_at("outcomes", "0.1"), token="0.2")  # shares sum to 1.1
+@example(case="intensity", index=_at("intensity", "2-02"), token="2-01")  # column twice
+@example(case="demographics", index=_at("demographics", "2"), token="1")  # column twice
 @example(  # sector shares sum to 1.1
     case="scenario", index=_at("scenario", "0.09803892433247162"), token="0.19803892433247162"
 )
