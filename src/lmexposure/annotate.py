@@ -180,13 +180,6 @@ def _collect_sample(
     ) from last_error
 
 
-def annotate_occupation(
-    client: ClassifierClient, node: OccupationNode, *, model_id: str, **kwargs
-) -> AnnotationRun:
-    """Collect the samples of one occupation; see ``annotate_nodes``."""
-    return annotate_nodes(client, [node], model_id=model_id, **kwargs)[0]
-
-
 def annotate_nodes(
     client: ClassifierClient,
     nodes: Iterable[OccupationNode],

@@ -33,26 +33,25 @@ def _law_payload(law: econ.GrowthLaw) -> dict[str, object]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = RunConfig(command="simulate")
     sectors, law = _scenario_inputs(args, config)
-    scenario = econ.AdoptionScenario.solve(sectors, law)
-    rows = []
-    for sector, decision in zip(scenario.sectors, scenario.decisions):
-        row = {
+    decisions = econ.optimal_decisions(sectors, law)
+    rows = [
+        {
             "id": sector.id,
             "share": sector.output_share,
             "delta": sector.damage_ratio,
             "exposure": sector.exposure,
-            "growth_factor": econ.growth_factor(law, sector.exposure),
+            "growth_factor": law(sector.exposure),
             "decision": decision,
             "damage": econ.sector_damage(sector, law, decision),
+            "threshold": econ.adoption_threshold(sector.damage_ratio, law),
         }
-        if isinstance(law, econ.ExponentialGrowth):
-            row["threshold"] = econ.adoption_threshold(sector.damage_ratio, law)
-        rows.append(row)
+        for sector, decision in zip(sectors, decisions)
+    ]
     payload = {
         "kind": "simulate",
         "law": _law_payload(law),
-        "aggregate_growth": scenario.aggregate_growth,
-        "adopting_sectors": sum(scenario.decisions),
+        "aggregate_growth": econ.aggregate_growth(sectors, law, decisions),
+        "adopting_sectors": sum(decisions),
         "sectors": rows,
     }
     config.parameters = {"rho": args.rho}

@@ -27,10 +27,6 @@ from .errors import (
 )
 
 
-class UnsupportedLawError(ComputationError):
-    """Operation defined in closed form only for the exponential law."""
-
-
 class _Immutable:
     """A growth law is validated once, in its constructor, so it cannot change."""
 
@@ -91,8 +87,6 @@ class TabulatedGrowth(_Immutable):
             return points[-1][1]
         for (r0, g0), (r1, g1) in zip(points, points[1:]):
             if r0 <= r <= r1:
-                if r1 == r0:
-                    return g1
                 return g0 + (g1 - g0) * (r - r0) / (r1 - r0)
         return points[0][1]
 
@@ -100,47 +94,26 @@ class TabulatedGrowth(_Immutable):
 GrowthLaw = ExponentialGrowth | TabulatedGrowth
 
 
-def growth_factor(law: GrowthLaw, r: float) -> float:
-    """Productivity multiplier of a sector with exposure ``r``."""
-    return law(r)
+def adoption_threshold(delta: float, law: GrowthLaw) -> float | None:
+    """Exposure above which adoption beats non-adoption, or None if it never does.
 
-
-def adoption_threshold(delta: float, law: GrowthLaw) -> float:
-    """Exposure above which adoption beats non-adoption: rho * ln(1/(1-delta)).
-
-    Closed form exists for the exponential law only; use
-    ``tabulated_threshold`` for custom tables.
+    The exponential law has the closed form rho * ln(1/(1-delta)). A
+    tabulated law is bisected over its table for the smallest exposure at
+    which (1 - delta) * g(r) > 1 holds; the law is non-decreasing and flat
+    past its last point, so above the returned exposure adoption always
+    pays, and None means it pays nowhere.
     """
     if not 0.0 <= delta < 1.0:
         raise ComputationError(f"damage ratio must be in [0, 1), got {delta}")
-    if not isinstance(law, ExponentialGrowth):
-        raise UnsupportedLawError(
-            "closed-form threshold needs the exponential law; "
-            "use tabulated_threshold for tables"
-        )
-    return law.rho * math.log(1.0 / (1.0 - delta))
-
-
-def tabulated_threshold(
-    delta: float, law: TabulatedGrowth, r_max: float | None = None, tol: float = 1e-12
-) -> float | None:
-    """Bisection threshold for a tabulated law.
-
-    Returns the smallest exposure at which (1 - delta) * g(r) > 1 holds on
-    [0, r_max], or None when adoption never pays on that range. The law is
-    non-decreasing, so above the returned point adoption always pays.
-    """
-    if not 0.0 <= delta < 1.0:
-        raise ComputationError(f"damage ratio must be in [0, 1), got {delta}")
-    if r_max is None:
-        r_max = law.points[-1][0]
+    if isinstance(law, ExponentialGrowth):
+        return law.rho * math.log(1.0 / (1.0 - delta))
     target = 1.0 / (1.0 - delta)
-    if law(0.0) > target:
+    lo, hi = 0.0, law.points[-1][0]
+    if law(lo) > target:
         return 0.0
-    if law(r_max) <= target:
+    if law(hi) <= target:
         return None
-    lo, hi = 0.0, r_max
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2.0
         if law(mid) > target:
             hi = mid
@@ -301,28 +274,6 @@ def default_ratio_grid(points: int = 21) -> list[float]:
 
 
 # --- scenario files ----------------------------------------------------------
-
-
-class AdoptionScenario:
-    """Sectors, growth law, decisions, and the resulting aggregate growth."""
-
-    def __init__(
-        self, sectors: list[Sector], law: GrowthLaw, decisions: list[int], aggregate_growth: float
-    ) -> None:
-        self.sectors = sectors
-        self.law = law
-        self.decisions = decisions
-        self.aggregate_growth = aggregate_growth
-
-    @classmethod
-    def solve(cls, sectors: Sequence[Sector], law: GrowthLaw) -> "AdoptionScenario":
-        decisions = optimal_decisions(sectors, law)
-        return cls(
-            sectors=list(sectors),
-            law=law,
-            decisions=decisions,
-            aggregate_growth=aggregate_growth(sectors, law, decisions),
-        )
 
 
 def load_scenario(

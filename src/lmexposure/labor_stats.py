@@ -1,10 +1,10 @@
 """Descriptive labor-market statistics over exposure scores.
 
 Summary panels (count / mean / sample std), Pearson correlations with
-significance stars from the exact two-sided Student-t tail, vacancy-share
-normalization and growth, and exposure-versus-outcome scatter reports with
-a single-variable least-squares fit line. Missing outcome values drop the
-pair; every report records the effective n.
+significance stars from the exact two-sided Student-t tail, outcome series
+(vacancy shares must sum to one), and exposure-versus-outcome scatter
+reports with a single-variable least-squares fit line. Missing outcome
+values drop the pair; every report records the effective n.
 """
 
 from __future__ import annotations
@@ -169,31 +169,6 @@ class OutcomeSeries:
                 raise ComputationError(
                     f"vacancy shares sum to {total:.12g}, expected 1 within {SHARE_SUM_TOL}"
                 )
-
-
-def vacancy_shares(counts: Mapping[str, float]) -> OutcomeSeries:
-    """Normalize vacancy counts to shares summing to one."""
-    if any(c < 0 for c in counts.values()):
-        raise ComputationError("vacancy counts must be non-negative")
-    total = sum(counts.values())
-    if total <= 0:
-        raise ComputationError("vacancy counts are all zero, shares undefined")
-    return OutcomeSeries(
-        kind=OutcomeKind.VACANCY_SHARE,
-        values={code: c / total for code, c in counts.items()},
-    )
-
-
-def share_growth(shares_t0: OutcomeSeries, shares_t1: OutcomeSeries) -> OutcomeSeries:
-    """Relative change of each share between two periods."""
-    if set(shares_t0.values) != set(shares_t1.values):
-        raise ComputationError("share growth needs identical code sets in both periods")
-    growth = {}
-    for code, s0 in shares_t0.values.items():
-        if s0 <= 0:
-            raise ComputationError(f"zero baseline share for {code!r}, growth undefined")
-        growth[code] = (shares_t1.values[code] - s0) / s0
-    return OutcomeSeries(kind=OutcomeKind.VACANCY_SHARE_GROWTH, values=growth)
 
 
 class ScatterReport:

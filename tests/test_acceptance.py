@@ -26,7 +26,6 @@ from lmexposure.econ_model import (
     contour_grid,
     default_delta_grid,
     default_ratio_grid,
-    growth_factor,
     optimal_decisions,
 )
 from lmexposure.labor_stats import pearson, summarize
@@ -96,7 +95,7 @@ def test_criterion_3_correlation_panel(score_table):
 def test_criterion_4_model_identities():
     with criterion(4, "growth identities: g(0)=1, no-adoption=1, engineered doubling=2"):
         law = ExponentialGrowth(rho=1.0)
-        assert growth_factor(law, 0.0) == 1.0
+        assert law(0.0) == 1.0
 
         rng = random.Random(12)
         raw = [rng.uniform(0.1, 1.0) for _ in range(7)]

@@ -21,7 +21,6 @@ from lmexposure.annotate import (
     NoCategoryFound,
     ScriptedMockClient,
     annotate_nodes,
-    annotate_occupation,
     load_mock_client,
     parse_category,
     read_annotation_store,
@@ -99,27 +98,25 @@ def test_parse_no_category(response):
 
 
 def test_constant_mock_eight_samples():
-    run = annotate_occupation(CycleMockClient(["E1"]), _node(), model_id="m", n_samples=8)
+    run = annotate_nodes(CycleMockClient(["E1"]), [_node()], model_id="m", n_samples=8)[0]
     assert run.samples == [E1] * 8
     assert run.raw_responses == ["E1"] * 8
 
 
 def test_cycle_mock_order_preserved():
-    run = annotate_occupation(
-        CycleMockClient(["E1", "E0"]), _node(), model_id="m", n_samples=8
-    )
+    run = annotate_nodes(CycleMockClient(["E1", "E0"]), [_node()], model_id="m", n_samples=8)[0]
     assert run.samples == [E1, E0, E1, E0, E1, E0, E1, E0]
 
 
 def test_retry_exhaustion_fails_run():
     client = CycleMockClient(["nonsense"])
     with pytest.raises(AnnotationError):
-        annotate_occupation(client, _node(), model_id="m", n_samples=1, max_retries=2)
+        annotate_nodes(client, [_node()], model_id="m", n_samples=1, max_retries=2)
 
 
 def test_retry_then_success_never_inflates_samples():
     client = CycleMockClient(["nonsense", "nonsense", "E2"])
-    run = annotate_occupation(client, _node(), model_id="m", n_samples=2, max_retries=2)
+    run = annotate_nodes(client, [_node()], model_id="m", n_samples=2, max_retries=2)[0]
     assert run.samples == [E2, E2]
     assert len(run.raw_responses) == 2
 
@@ -137,26 +134,26 @@ def test_transport_failures_retried():
                 raise ConnectionError("transient")
             return "E0"
 
-    run = annotate_occupation(Flaky(), _node(), model_id="m", n_samples=3, max_retries=1)
+    run = annotate_nodes(Flaky(), [_node()], model_id="m", n_samples=3, max_retries=1)[0]
     assert run.samples == [E0, E0, E0]
 
 
 def test_deterministic_client_gives_pure_runs():
-    a = annotate_occupation(CycleMockClient(["E2", "E1"]), _node(), model_id="m", n_samples=5)
-    b = annotate_occupation(CycleMockClient(["E2", "E1"]), _node(), model_id="m", n_samples=5)
+    a = annotate_nodes(CycleMockClient(["E2", "E1"]), [_node()], model_id="m", n_samples=5)[0]
+    b = annotate_nodes(CycleMockClient(["E2", "E1"]), [_node()], model_id="m", n_samples=5)[0]
     assert a.samples == b.samples
     assert a.raw_responses == b.raw_responses
 
 
 def test_n_samples_must_be_positive():
     with pytest.raises(Exception):
-        annotate_occupation(CycleMockClient(["E1"]), _node(), model_id="m", n_samples=0)
+        annotate_nodes(CycleMockClient(["E1"]), [_node()], model_id="m", n_samples=0)
 
 
 @pytest.mark.parametrize("in_flight", [0, -3])
 def test_in_flight_must_be_positive(in_flight):
     with pytest.raises(ComputationError, match="in_flight"):
-        annotate_occupation(CycleMockClient(["E1"]), _node(), model_id="m", in_flight=in_flight)
+        annotate_nodes(CycleMockClient(["E1"]), [_node()], model_id="m", in_flight=in_flight)
 
 
 def test_serial_client_runs_in_order_on_the_calling_thread():
@@ -204,7 +201,7 @@ def test_concurrent_dispatch_reassembles_by_index():
             return f"E{call % 2}"
 
     client = SlowCounting()
-    run = annotate_occupation(client, _node(), model_id="m", n_samples=8, in_flight=4)
+    run = annotate_nodes(client, [_node()], model_id="m", n_samples=8, in_flight=4)[0]
     assert client.max_in_flight > 1
     assert len(run.samples) == 8
     for sample, raw in zip(run.samples, run.raw_responses):
@@ -345,8 +342,8 @@ def test_scripted_mock_routes_by_occupation():
     client = ScriptedMockClient(
         {"2-06": ["E1"], "2-08": ["E0", "E2"]}, tx
     )
-    run_a = annotate_occupation(client, tx.node("2-06"), model_id="m", n_samples=3)
-    run_b = annotate_occupation(client, tx.node("2-08"), model_id="m", n_samples=3)
+    run_a = annotate_nodes(client, [tx.node("2-06")], model_id="m", n_samples=3)[0]
+    run_b = annotate_nodes(client, [tx.node("2-08")], model_id="m", n_samples=3)[0]
     assert run_a.samples == [E1, E1, E1]
     assert run_b.samples == [E0, E2, E0]
 
@@ -355,7 +352,7 @@ def test_scripted_mock_without_entry_fails():
     tx = _two_node_taxonomy()
     client = ScriptedMockClient({"2-06": ["E1"]}, tx)
     with pytest.raises(AnnotationError):
-        annotate_occupation(client, tx.node("2-08"), model_id="m", n_samples=1)
+        annotate_nodes(client, [tx.node("2-08")], model_id="m", n_samples=1)
 
 
 def test_load_mock_client_kinds(tmp_path):
@@ -387,8 +384,8 @@ def test_load_mock_client_kinds(tmp_path):
 
 def test_store_roundtrip_and_determinism(tmp_path):
     runs = [
-        annotate_occupation(CycleMockClient(["E1"]), _node(), model_id="glm", n_samples=4),
-        annotate_occupation(CycleMockClient(["E0", "E2"]), _node(), model_id="gpt4", n_samples=4),
+        annotate_nodes(CycleMockClient(["E1"]), [_node()], model_id="glm", n_samples=4)[0],
+        annotate_nodes(CycleMockClient(["E0", "E2"]), [_node()], model_id="gpt4", n_samples=4)[0],
     ]
     path_a = tmp_path / "a.jsonl"
     path_b = tmp_path / "b.jsonl"
@@ -408,7 +405,7 @@ def test_store_roundtrip_and_determinism(tmp_path):
 def test_store_appends(tmp_path):
     path = tmp_path / "s.jsonl"
     store = AnnotationStore(path, clock=LogicalClock())
-    run = annotate_occupation(CycleMockClient(["E3"]), _node(), model_id="glm", n_samples=2)
+    run = annotate_nodes(CycleMockClient(["E3"]), [_node()], model_id="glm", n_samples=2)[0]
     store.append([run])
     store.append([run])
     assert len(read_annotation_store(path)) == 2

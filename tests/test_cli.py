@@ -105,6 +105,12 @@ def test_stats_summary(tmp_path):
     assert report["columns"]["glm"]["mean"] == pytest.approx(0.40, abs=0.01)
     pairs = {(c["a"], c["b"]): c for c in report["correlations"]}
     assert pairs[("glm", "gpt4")]["stars"] == "*"
+    models = ("glm", "gpt4", "internlm")
+    assert set(models) <= set(report["columns"])
+    unordered = {frozenset((c["a"], c["b"])): c for c in report["correlations"]}
+    for i, a in enumerate(models):
+        for b in models[i + 1:]:
+            assert unordered[frozenset((a, b))]["n"] == 63
 
 
 def test_stats_scatter_with_plot_data(tmp_path):
@@ -373,6 +379,41 @@ def test_simulate_demo_scenario(tmp_path):
     for sector in report["sectors"]:
         assert sector["decision"] in (0, 1)
         assert "threshold" in sector
+
+
+def test_simulate_tabulated_law_reports_thresholds(tmp_path):
+    # g(r) = 1 + r on [0, 1], so adoption pays above delta / (1 - delta).
+    scenario = tmp_path / "tabulated.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "law": {"kind": "tabulated", "points": [[0, 1], [1, 2]]},
+                "sectors": [
+                    {"id": "a", "share": 0.5, "exposure": 0.5, "delta": 0.1},
+                    {"id": "b", "share": 0.5, "exposure": 0.1, "delta": 0.3},
+                    {"id": "c", "share": 0.0, "exposure": 0.9, "delta": 0.6},
+                ],
+            }
+        )
+    )
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+    sectors = {s["id"]: s for s in json.loads(out.read_text())["sectors"]}
+    assert sectors["a"]["threshold"] == 0.1111
+    assert sectors["b"]["threshold"] == 0.4286
+    assert sectors["c"]["threshold"] is None  # needs g > 2.5; the table tops at 2
+    assert [sectors[k]["decision"] for k in "abc"] == [1, 0, 0]
+
+
+def test_contour_default_grid(tmp_path):
+    out = tmp_path / "contour.csv"
+    assert main(["contour", "--scenario", SCENARIO, "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 22  # header + 21 damage ratios
+    assert all(len(line.split(",")) == 22 for line in lines)
+    assert lines[0].startswith("delta\\ratio,0.0000,")
+    assert lines[0].endswith(",1.0000")
+    assert lines[-1].startswith("0.9500,")
 
 
 def test_contour_output_shape(tmp_path):

@@ -10,22 +10,18 @@ import re
 import pytest
 
 from lmexposure.econ_model import (
-    AdoptionScenario,
     ExponentialGrowth,
     Sector,
     TabulatedGrowth,
-    UnsupportedLawError,
     adopt_decision,
     adoption_threshold,
     aggregate_growth,
     contour_grid,
     default_delta_grid,
     default_ratio_grid,
-    growth_factor,
     load_scenario,
     optimal_decisions,
     sector_damage,
-    tabulated_threshold,
 )
 from lmexposure.errors import ComputationError, ConfigError, InputFormatError
 from lmexposure.fixtures import fixture_path
@@ -48,26 +44,22 @@ def _random_economy(rng: random.Random, n: int) -> list[Sector]:
 
 
 def test_exponential_identity_at_zero():
-    assert growth_factor(ExponentialGrowth(rho=1.0), 0.0) == 1.0
+    assert ExponentialGrowth(rho=1.0)(0.0) == 1.0
 
 
 def test_exponential_at_one():
-    assert growth_factor(ExponentialGrowth(rho=1.0), 1.0) == pytest.approx(
-        2.718281828, abs=1e-9
-    )
+    assert ExponentialGrowth(rho=1.0)(1.0) == pytest.approx(2.718281828, abs=1e-9)
 
 
 def test_exponential_quarter_over_half_rho():
-    assert growth_factor(ExponentialGrowth(rho=0.5), 0.25) == pytest.approx(
-        1.6487212707001282, abs=1e-12
-    )
+    assert ExponentialGrowth(rho=0.5)(0.25) == pytest.approx(1.6487212707001282, abs=1e-12)
 
 
 def test_exponential_rejects_bad_args():
     with pytest.raises(ComputationError):
         ExponentialGrowth(rho=0.0)
     with pytest.raises(ComputationError):
-        growth_factor(ExponentialGrowth(rho=1.0), -0.1)
+        ExponentialGrowth(rho=1.0)(-0.1)
 
 
 def test_tabulated_interpolation():
@@ -118,18 +110,13 @@ def test_threshold_rejects_full_damage():
         adoption_threshold(1.0, ExponentialGrowth(rho=1.0))
 
 
-def test_threshold_requires_exponential_law():
-    with pytest.raises(UnsupportedLawError):
-        adoption_threshold(0.2, TabulatedGrowth(points=((0.0, 1.0), (1.0, 2.0))))
-
-
-def test_tabulated_threshold_by_bisection():
+def test_threshold_tabulated_by_bisection():
     # g(r) = 1 + r on [0, 2]; adoption pays iff r > delta / (1 - delta).
     law = TabulatedGrowth(points=((0.0, 1.0), (2.0, 3.0)))
     for delta in (0.1, 0.25, 0.5):
-        found = tabulated_threshold(delta, law)
+        found = adoption_threshold(delta, law)
         assert found == pytest.approx(delta / (1 - delta), abs=1e-9)
-    assert tabulated_threshold(0.9, law) is None  # needs g > 10, table tops at 3
+    assert adoption_threshold(0.9, law) is None  # needs g > 10, table tops at 3
 
 
 # --- adoption decisions ---------------------------------------------------------------
@@ -147,16 +134,20 @@ def test_tie_resolves_to_non_adoption():
 
 
 def test_threshold_decision_equivalence_on_grid():
-    for rho in (0.25, 0.5, 1.0, 2.0, 4.0):
-        law = ExponentialGrowth(rho=rho)
+    laws = [ExponentialGrowth(rho=rho) for rho in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    laws.append(TabulatedGrowth(points=((0.0, 1.0), (0.5, 1.5), (0.75, 1.5), (1.0, 4.0))))
+    for law in laws:
         for i in range(51):
             r = i / 50
             for j in range(46):
                 delta = 0.9 * j / 45
                 threshold = adoption_threshold(delta, law)
-                if abs(r - threshold) < 1e-9:
+                if threshold is None:
+                    expected = 0  # adoption never pays within the table
+                elif abs(r - threshold) < 1e-9:
                     continue  # boundary points are allowed to go either way
-                expected = 1 if r > threshold else 0
+                else:
+                    expected = 1 if r > threshold else 0
                 assert adopt_decision(_sector(0, 1.0, delta, r), law) == expected
 
 
@@ -374,9 +365,9 @@ def test_scenario_solve_consistency():
     rng = random.Random(8)
     sectors = _random_economy(rng, 9)
     law = ExponentialGrowth(rho=1.0)
-    scenario = AdoptionScenario.solve(sectors, law)
-    assert scenario.aggregate_growth == aggregate_growth(sectors, law, scenario.decisions)
-    assert all(x in (0, 1) for x in scenario.decisions)
+    decisions = optimal_decisions(sectors, law)
+    assert all(x in (0, 1) for x in decisions)
+    assert aggregate_growth(sectors, law, decisions) >= aggregate_growth(sectors, law, [0] * 9)
 
 
 def test_demo_scenario_loads():

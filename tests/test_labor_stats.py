@@ -1,4 +1,4 @@
-"""Summary panels, correlations with stars, vacancy shares, scatter fits."""
+"""Summary panels, correlations with stars, outcome series, scatter fits."""
 
 from __future__ import annotations
 
@@ -22,10 +22,8 @@ from lmexposure.labor_stats import (
     pearson,
     read_outcome_csv,
     scatter_report,
-    share_growth,
     stars_for,
     summarize,
-    vacancy_shares,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -209,86 +207,15 @@ def test_correlation_panel_symmetric_unit_diagonal(score_table):
 # --- vacancy shares ----------------------------------------------------------------
 
 
-def test_share_symmetry():
-    shares = vacancy_shares({"a": 1, "b": 1})
-    assert shares.values == {"a": 0.5, "b": 0.5}
-
-
-def test_share_ratio():
-    shares = vacancy_shares({"a": 3, "b": 1})
-    assert shares.values == {"a": 0.75, "b": 0.25}
-
-
-def test_shares_match_division_oracle():
-    rng = random.Random(9)
-    counts = {f"2-{i + 1:02d}": rng.randint(1, 5000) for i in range(63)}
-    shares = vacancy_shares(counts)
-    total = sum(counts.values())
-    for code, count in counts.items():
-        assert shares.values[code] == pytest.approx(count / total, abs=1e-15)
-    assert sum(shares.values.values()) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_all_zero_counts_rejected():
-    with pytest.raises(ComputationError):
-        vacancy_shares({"a": 0, "b": 0})
-
-
-def test_negative_counts_rejected():
-    with pytest.raises(ComputationError):
-        vacancy_shares({"a": -1, "b": 2})
-
-
 def test_nan_count_rejected():
     # Every comparison with NaN is false: `abs(t - 1) > tol` would let a NaN sum through.
     with pytest.raises(ComputationError, match="vacancy shares sum to nan"):
-        vacancy_shares({"a": float("nan"), "b": 1.0})
+        OutcomeSeries(OutcomeKind.VACANCY_SHARE, {"a": float("nan"), "b": 1.0})
 
 
 def test_share_invariant_enforced_on_series():
     with pytest.raises(ComputationError):
         OutcomeSeries(kind=OutcomeKind.VACANCY_SHARE, values={"a": 0.5, "b": 0.4})
-
-
-# --- share growth --------------------------------------------------------------------
-
-
-def test_growth_direct_ratio():
-    t0 = OutcomeSeries(OutcomeKind.VACANCY_SHARE, {"a": 0.10, "b": 0.90})
-    t1 = OutcomeSeries(OutcomeKind.VACANCY_SHARE, {"a": 0.12, "b": 0.88})
-    growth = share_growth(t0, t1)
-    assert growth.values["a"] == pytest.approx(0.20)
-    assert growth.kind is OutcomeKind.VACANCY_SHARE_GROWTH
-
-
-def test_growth_identity():
-    t0 = OutcomeSeries(OutcomeKind.VACANCY_SHARE, {"a": 0.3, "b": 0.7})
-    growth = share_growth(t0, t0)
-    assert all(v == 0.0 for v in growth.values.values())
-
-
-def test_growth_matches_elementwise_oracle():
-    rng = random.Random(4)
-    counts0 = {f"c{i}": rng.randint(1, 100) for i in range(20)}
-    counts1 = {f"c{i}": rng.randint(1, 100) for i in range(20)}
-    t0, t1 = vacancy_shares(counts0), vacancy_shares(counts1)
-    growth = share_growth(t0, t1)
-    for code in counts0:
-        oracle = (t1.values[code] - t0.values[code]) / t0.values[code]
-        assert growth.values[code] == pytest.approx(oracle, abs=1e-15)
-
-
-def test_growth_zero_baseline_rejected():
-    t0 = OutcomeSeries(OutcomeKind.VACANCY_SHARE, {"a": 0.0, "b": 1.0})
-    with pytest.raises(ComputationError):
-        share_growth(t0, t0)
-
-
-def test_growth_mismatched_codes_rejected():
-    t0 = OutcomeSeries(OutcomeKind.VACANCY_SHARE, {"a": 1.0})
-    t1 = OutcomeSeries(OutcomeKind.VACANCY_SHARE, {"b": 1.0})
-    with pytest.raises(ComputationError):
-        share_growth(t0, t1)
 
 
 # --- scatter reports -----------------------------------------------------------------
