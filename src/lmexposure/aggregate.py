@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -48,12 +49,13 @@ def _to_rows(
 def _check_rows(matrix: list[list[float]], labels: list[str], what: str) -> None:
     # Written so that NaN fails both checks: comparisons with NaN are false.
     for label, row in zip(labels, matrix):
-        for v in row:
-            if not v >= 0:
-                raise InputFormatError(
-                    f"share {v:.12g} in {what} row {label!r} is not a non-negative number"
-                )
         total = sum(row)
+        if not (min(row, default=0.0) >= 0 and total == total):  # a NaN makes the total NaN
+            for v in row:  # name the first cell at fault
+                if not v >= 0:
+                    raise InputFormatError(
+                        f"share {v:.12g} in {what} row {label!r} is not a non-negative number"
+                    )
         if not abs(total - 1.0) <= SHARE_SUM_TOL:
             raise RowSumError(
                 f"{what} row {label!r} sums to {total:.12g}, expected 1 within {SHARE_SUM_TOL}"
@@ -64,7 +66,7 @@ def _project(
     matrix: list[list[float]], labels: list[str], scores: list[float]
 ) -> dict[str, float]:
     """Each row's score-weighted sum, one ``math.fsum`` per row."""
-    return {k: math.fsum(w * x for w, x in zip(row, scores)) for k, row in zip(labels, matrix)}
+    return {k: math.fsum(map(operator.mul, row, scores)) for k, row in zip(labels, matrix)}
 
 
 class IntensityMatrix:
@@ -73,10 +75,21 @@ class IntensityMatrix:
     def __init__(
         self, industries: list[str], occupations: list[str], beta: Sequence[Sequence[float]]
     ) -> None:
+        rows = _to_rows(beta, len(industries), len(occupations), "intensity")
+        self._set(industries, occupations, rows, [OccupationCode.parse(c) for c in occupations])
+
+    def _set(
+        self,
+        industries: list[str],
+        occupations: list[str],
+        beta: list[list[float]],
+        codes: list[OccupationCode],
+    ) -> None:
+        """Check and keep float rows of the labels' shape and the parsed column codes."""
         self.industries = industries
         self.occupations = occupations
-        self.beta = _to_rows(beta, len(industries), len(occupations), "intensity")
-        levels = {OccupationCode.parse(code).level for code in occupations}
+        self.beta = beta
+        levels = {code.level for code in codes}
         if len(levels) > 1:
             raise InputFormatError(
                 f"occupation columns mix taxonomy levels {sorted(l.name for l in levels)}"
@@ -86,7 +99,9 @@ class IntensityMatrix:
     @classmethod
     def from_csv(cls, source: str | Path) -> "IntensityMatrix":
         with located(source):
-            return cls(*_read_share_file(source, "industry_id"))
+            matrix = cls.__new__(cls)  # the reader's rows are floats of the header's width
+            matrix._set(*_read_share_file(source, "industry_id"))
+            return matrix
 
 
 class DemographicShares:
@@ -95,19 +110,28 @@ class DemographicShares:
     def __init__(
         self, age_groups: list[str], industries: list[str], w: Sequence[Sequence[float]]
     ) -> None:
+        self._set(age_groups, industries, _to_rows(w, len(age_groups), len(industries), "demographic"))
+
+    def _set(self, age_groups: list[str], industries: list[str], w: list[list[float]]) -> None:
+        """Check and keep float rows of the labels' shape."""
         self.age_groups = age_groups
         self.industries = industries
-        self.w = _to_rows(w, len(age_groups), len(industries), "demographic")
+        self.w = w
         _check_rows(self.w, age_groups, "demographic")
 
     @classmethod
     def from_csv(cls, source: str | Path) -> "DemographicShares":
         with located(source):
-            return cls(*_read_share_file(source, "age_group"))
+            age_groups, industries, w, _ = _read_share_file(source, "age_group")
+            shares = cls.__new__(cls)  # the reader's rows are floats of the header's width
+            shares._set(age_groups, industries, w)
+            return shares
 
 
 def _read_share_file(source: str | Path, key_column: str):
+    """(row labels, columns, float rows, parsed occupation codes of the columns or None)."""
     rows: dict[str, list[float]] = {}
+    codes = None
     with open_text(source, newline="") as handle:
         reader = csv.reader(handle)
         with located(source, reader):
@@ -119,8 +143,7 @@ def _read_share_file(source: str | Path, key_column: str):
             if not columns:
                 raise InputFormatError("share file has no weight columns")
             if key_column == "industry_id":  # intensity columns are occupation codes
-                for code in columns:
-                    OccupationCode.parse(code)
+                codes = [OccupationCode.parse(code) for code in columns]
             if len(set(columns)) < len(columns):  # weights meet scores by column name
                 repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
                 raise InputFormatError(f"header names column {repeated!r} twice", line=1)
@@ -132,10 +155,10 @@ def _read_share_file(source: str | Path, key_column: str):
                 if row[0] in rows:  # results are keyed by label: a repeat would replace
                     raise InputFormatError(f"duplicate {key_column} {row[0]!r}")
                 try:
-                    rows[row[0]] = [float(cell) for cell in row[1:]]
+                    rows[row[0]] = list(map(float, row[1:]))
                 except ValueError as exc:
                     raise InputFormatError(f"non-numeric share: {exc}") from None
-    return list(rows), columns, list(rows.values())
+    return list(rows), columns, list(rows.values()), codes
 
 
 def _read_industry_column(source: str | Path, column: str, parse: Callable[[str], object]) -> dict:

@@ -47,19 +47,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Each command's ``handler`` names its module in ``commands`` and its function."""
-    parser = argparse.ArgumentParser(
-        prog="lmexposure",
-        description=(
-            "Occupational exposure pipeline: annotation, scoring, taxonomy and "
-            "industry aggregation, labor-market statistics, and the "
-            "multi-sector adoption model."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("annotate", help="annotate occupations through a classifier client")
+def _annotate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--taxonomy", required=True, help="taxonomy CSV (code,title,description,excluded)")
     p.add_argument("--mock", help=f"mock client JSON config; omit to use {CLIENT_ENV_VAR}")
     p.add_argument("--models", default="glm,gpt4,internlm", help="comma-separated model ids")
@@ -81,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=("annotate", "cmd_annotate"))
 
-    p = sub.add_parser("score", help="build the canonical score table")
+
+def _score_arguments(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--annotations", help="annotation store JSONL to score")
     group.add_argument("--scores", help="existing score table; recompute the ensemble column")
@@ -90,14 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=("score", "cmd_score"))
 
-    p = sub.add_parser("aggregate", help="roll leaf scores up the taxonomy")
+
+def _aggregate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--scores", required=True, help="score table supplying leaf scores")
     p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
     _add_common(p)
     p.set_defaults(handler=("aggregate", "cmd_aggregate"))
 
-    p = sub.add_parser("industry", help="project occupational scores onto industries")
+
+def _industry_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--intensity", required=True, help="industry x occupation share matrix CSV")
     p.add_argument("--scores", required=True)
     p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
@@ -105,13 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=("aggregate", "cmd_industry"))
 
-    p = sub.add_parser("demographic", help="project industry scores onto age groups")
+
+def _demographic_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--demographics", required=True, help="age group x industry share matrix CSV")
     p.add_argument("--industry-scores", required=True, help="industry exposure CSV")
     _add_common(p)
     p.set_defaults(handler=("aggregate", "cmd_demographic"))
 
-    p = sub.add_parser("stats", help="summary panels, correlations, scatter reports")
+
+def _stats_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scores", required=True)
     p.add_argument(
         "--pair", nargs=2, metavar=("A", "B"), choices=sc.SCORE_COLUMNS, help="correlate two columns"
@@ -122,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=("stats", "cmd_stats"))
 
-    p = sub.add_parser("simulate", help="solve adoption decisions for a scenario")
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, help="scenario JSON")
     p.add_argument("--scores", help="score table for occupation-mix exposures")
     p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
@@ -130,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=("adoption", "cmd_simulate"))
 
-    p = sub.add_parser("contour", help="growth over a damage x adoption-ratio grid")
+
+def _contour_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True)
     p.add_argument("--scores", help="score table for occupation-mix exposures")
     p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
@@ -140,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=("adoption", "cmd_contour"))
 
-    p = sub.add_parser("validate", help="dry-run checks on input files, no computation")
+
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--taxonomy")
     p.add_argument("--scores")
     p.add_argument("--expert")
@@ -152,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mock")
     p.set_defaults(handler=("validate", "cmd_validate"))
 
-    p = sub.add_parser("pipeline", help="score, aggregate, industry, stats in one run")
+
+def _pipeline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scores", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--intensity", required=True)
@@ -161,11 +158,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-precision", action="store_true")
     p.set_defaults(handler=("pipeline", "cmd_pipeline"))
 
+
+# command -> (help, function that adds its arguments and its handler)
+_COMMANDS = {
+    "annotate": ("annotate occupations through a classifier client", _annotate_arguments),
+    "score": ("build the canonical score table", _score_arguments),
+    "aggregate": ("roll leaf scores up the taxonomy", _aggregate_arguments),
+    "industry": ("project occupational scores onto industries", _industry_arguments),
+    "demographic": ("project industry scores onto age groups", _demographic_arguments),
+    "stats": ("summary panels, correlations, scatter reports", _stats_arguments),
+    "simulate": ("solve adoption decisions for a scenario", _simulate_arguments),
+    "contour": ("growth over a damage x adoption-ratio grid", _contour_arguments),
+    "validate": ("dry-run checks on input files, no computation", _validate_arguments),
+    "pipeline": ("score, aggregate, industry, stats in one run", _pipeline_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command if it names none.
+
+    Each command's ``handler`` names its module in ``commands`` and its function.
+    """
+    parser = argparse.ArgumentParser(
+        prog="lmexposure",
+        description=(
+            "Occupational exposure pipeline: annotation, scoring, taxonomy and "
+            "industry aggregation, labor-market statistics, and the "
+            "multi-sector adoption model."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     module_name, handler_name = args.handler
     handler = getattr(importlib.import_module(f".commands.{module_name}", __package__), handler_name)
     try:

@@ -23,7 +23,7 @@ def corr_payload(result: lstats.CorrResult) -> dict[str, object]:
 
 def summary_payload(table: sc.ScoreTable) -> dict[str, object]:
     """Per-column count/mean/std and every pairwise correlation."""
-    columns = {name: table.column(name) for name in sc.SCORE_COLUMNS if table.column(name)}
+    columns = {name: column for name in sc.SCORE_COLUMNS if (column := table.column(name))}
     summary = {
         name: {
             "count": (entry := lstats.summarize(list(values.values()))).count,

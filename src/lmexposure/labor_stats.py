@@ -52,7 +52,7 @@ def summarize(series: Sequence[float]) -> SummaryEntry:
     if n < 2:
         raise ComputationError(f"need at least 2 values to summarize, got {n}")
     mean = sum(series) / n
-    var = sum((x - mean) ** 2 for x in series) / (n - 1)
+    var = sum([(x - mean) ** 2 for x in series]) / (n - 1)
     return SummaryEntry(count=n, mean=mean, std=math.sqrt(var))
 
 
@@ -134,11 +134,11 @@ def pearson(
         raise ComputationError(f"need at least 3 pairs for a correlation, got {n}")
     mx = sum(x) / n
     my = sum(y) / n
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
+    sxx = sum([(a - mx) ** 2 for a in x])
+    syy = sum([(b - my) ** 2 for b in y])
     if sxx == 0.0 or syy == 0.0:
         raise ConstantSeriesError("correlation undefined for a constant series")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxy = sum([(a - mx) * (b - my) for a, b in zip(x, y)])
     # The product of two tiny sums can underflow to 0 where their roots do not.
     r = sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
     r = max(-1.0, min(1.0, r))
@@ -267,13 +267,18 @@ def correlation_panel(
     Pairs are restricted to the codes common to both columns; the panel is
     symmetric with a unit diagonal.
     """
+    codes = {name: sorted(column) for name, column in columns.items()}
+    values = {name: [columns[name][c] for c in codes[name]] for name in columns}
     names = list(columns)
     panel: dict[tuple[str, str], CorrResult] = {}
     for i, a in enumerate(names):
         for b in names[i:]:
-            common = sorted(set(columns[a]) & set(columns[b]))
-            xs = [columns[a][c] for c in common]
-            ys = [columns[b][c] for c in common]
+            if codes[a] == codes[b]:  # the common case: both columns cover the same codes
+                xs, ys = values[a], values[b]
+            else:
+                common = [c for c in codes[a] if c in columns[b]]
+                xs = [columns[a][c] for c in common]
+                ys = [columns[b][c] for c in common]
             result = pearson(xs, ys, thresholds)
             panel[(a, b)] = result
             panel[(b, a)] = result

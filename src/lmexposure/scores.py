@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -163,28 +164,39 @@ def read_score_table(source: str | Path | io.TextIOBase) -> ScoreTable:
 
 
 def _read_table(handle, path: str) -> ScoreTable:
-    reader = csv.DictReader(handle)
+    reader = csv.reader(handle)
     rows: list[ScoreRow] = []
     seen: set[str] = set()
+    width = len(SCORE_TABLE_HEADER)
     with located(path, reader):
-        if reader.fieldnames is None or tuple(reader.fieldnames) != SCORE_TABLE_HEADER:
+        header = next(reader, None)
+        if header is None or tuple(header) != SCORE_TABLE_HEADER:
             raise InputFormatError(
-                f"score table header must be {','.join(SCORE_TABLE_HEADER)}, "
-                f"got {reader.fieldnames}",
+                f"score table header must be {','.join(SCORE_TABLE_HEADER)}, got {header}",
                 line=1,
             )
         for row in reader:
-            code = OccupationCode.parse(row["code"]).raw
+            if not row:
+                continue
+            if len(row) != width:
+                raise InputFormatError(f"expected {width} cells, got {len(row)}")
+            code = OccupationCode.parse(row[0]).raw
             if code in seen:
                 raise InputFormatError(f"duplicate code {code!r}")
             seen.add(code)
-            scores = {
-                name: _parse_score(cell, f"{name} value")
-                for name in SCORE_COLUMNS
-                if (cell := (row[name] or "").strip())
-            }
-            rows.append(ScoreRow(code=code, title=row["title"] or "", scores=scores))
-    return ScoreTable(rows=rows)
+            scores = {}
+            for name, cell in zip(SCORE_COLUMNS, row[2:]):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    if not cell.strip():  # an empty cell is a missing score
+                        continue
+                    value = math.nan
+                if not 0.0 <= value <= 1.0:  # NaN too
+                    _parse_score(cell.strip(), f"{name} value")  # raises with the cell's message
+                scores[name] = value
+            rows.append(ScoreRow(code, row[1], scores))
+    return ScoreTable(rows)
 
 
 def format_score(value: float | None, full_precision: bool = False) -> str:

@@ -16,7 +16,7 @@ import io
 import re
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ComputationError, InputFormatError, located, open_text
 
@@ -29,6 +29,8 @@ class Level(IntEnum):
     SMALL = 3
     FINE = 4
 
+
+_LEVELS = tuple(Level)  # indexed by segment count - 1
 
 _CODE_RE = re.compile(r"^\d+(-\d+)*$")
 
@@ -49,22 +51,14 @@ class MissingScoreError(ComputationError):
     """A non-excluded leaf occupation has no score to aggregate."""
 
 
-class OccupationCode:
+class OccupationCode(NamedTuple):
     """A validated classification code plus its derived level.
 
     Immutable: ``parse`` hands one cached instance to every caller.
     """
 
-    __slots__ = ("raw", "level")
-
-    def __init__(self, raw: str, level: Level) -> None:
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "level", level)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"OccupationCode is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
+    raw: str
+    level: Level
 
     @classmethod
     @functools.lru_cache(maxsize=4096)  # a command meets one code in several files
@@ -72,12 +66,12 @@ class OccupationCode:
         raw = raw.strip()
         if not _CODE_RE.match(raw):
             raise MalformedCodeError(f"malformed occupation code {raw!r}")
-        segments = raw.split("-")
-        if len(segments) > Level.FINE:
+        n = raw.count("-") + 1
+        if n > Level.FINE:
             raise MalformedCodeError(
-                f"occupation code {raw!r} has {len(segments)} segments, maximum is {int(Level.FINE)}"
+                f"occupation code {raw!r} has {n} segments, maximum is {int(Level.FINE)}"
             )
-        return cls(raw=raw, level=Level(len(segments)))
+        return cls(raw, _LEVELS[n - 1])
 
     def parent_raw(self) -> str | None:
         """Code of the immediate parent, or None for large categories."""
@@ -148,17 +142,8 @@ class Taxonomy:
         ]
 
 
-_TRUE = {"true", "1", "yes"}
-_FALSE = {"false", "0", "no", ""}
-
-
-def _parse_excluded(value: str) -> bool:
-    v = value.strip().lower()
-    if v in _TRUE:
-        return True
-    if v in _FALSE:
-        return False
-    raise InputFormatError(f"unrecognized excluded flag {value!r}")
+# Excluded-flag cells, lower-cased and stripped.
+_EXCLUDED = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False, "": False}
 
 
 def load_taxonomy(source: str | Path | io.TextIOBase) -> Taxonomy:
@@ -180,44 +165,47 @@ def load_taxonomy(source: str | Path | io.TextIOBase) -> Taxonomy:
 
 
 def _load(handle: Iterable[str], path: str | None) -> Taxonomy:
-    reader = csv.DictReader(handle)
+    reader = csv.reader(handle)
     with located(path, reader):
-        required = {"code", "title", "description", "excluded"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        header = next(reader, None)
+        columns = ("code", "title", "description", "excluded")
+        if header is None or not set(columns).issubset(header):
             raise InputFormatError(
-                f"taxonomy header must contain {sorted(required)}, got {reader.fieldnames}",
-                line=1,
+                f"taxonomy header must contain {sorted(columns)}, got {header}", line=1
             )
-
-        rows: list[tuple[int, OccupationCode, str, str, bool]] = []
-        seen: dict[str, int] = {}
-        for row in reader:
-            line = reader.line_num
-            code = OccupationCode.parse(row["code"] or "")
-            if code.raw in seen:
-                raise DuplicateCodeError(
-                    f"duplicate occupation code {code.raw!r} (first seen on line {seen[code.raw]})"
-                )
-            seen[code.raw] = line
-            excluded = _parse_excluded(row["excluded"] or "")
-            rows.append((line, code, row["title"] or "", row["description"] or "", excluded))
+        width = len(header)
+        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last cell
+        at_code, at_title, at_description, at_excluded = (at[name] for name in columns)
 
         index: dict[str, OccupationNode] = {}
-        for _, code, title, description, excluded in rows:
-            index[code.raw] = OccupationNode(code, title, description, excluded)
+        lines: dict[str, int] = {}
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise InputFormatError(f"expected {width} cells, got {len(row)}")
+            code = OccupationCode.parse(row[at_code])
+            if code.raw in lines:
+                raise DuplicateCodeError(
+                    f"duplicate occupation code {code.raw!r} (first seen on line {lines[code.raw]})"
+                )
+            lines[code.raw] = reader.line_num
+            excluded = _EXCLUDED.get(row[at_excluded].strip().lower())
+            if excluded is None:
+                raise InputFormatError(f"unrecognized excluded flag {row[at_excluded]!r}")
+            index[code.raw] = OccupationNode(code, row[at_title], row[at_description], excluded)
 
         roots: list[OccupationNode] = []
-        for line, code, _, _, _ in rows:
-            node = index[code.raw]
-            parent_raw = code.parent_raw()
+        for raw, node in index.items():
+            parent_raw = node.code.parent_raw()
             if parent_raw is None:
                 roots.append(node)
                 continue
             parent = index.get(parent_raw)
             if parent is None:
                 raise OrphanCodeError(
-                    f"occupation code {code.raw!r} has no parent {parent_raw!r} in the document",
-                    line=line,
+                    f"occupation code {raw!r} has no parent {parent_raw!r} in the document",
+                    line=lines[raw],
                 )
             parent.children.append(node)
 

@@ -684,6 +684,19 @@ def test_every_subcommand_has_help(capsys):
         assert "--" in capsys.readouterr().out
 
 
+def test_parser_of_a_named_command_holds_that_command_alone(capsys):
+    parser = build_parser("score")
+    args = parser.parse_args(["score", "--scores", "t.csv", "--out", "o.csv"])
+    assert args.handler == ("score", "cmd_score")
+    with pytest.raises(SystemExit) as err:
+        parser.parse_args(["stats", "--scores", "t.csv", "--out", "o.csv"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit):  # an unknown name builds every command
+        build_parser("transmogrify").parse_args(["transmogrify"])
+    assert "'pipeline'" in capsys.readouterr().err
+
+
 def test_cli_imports_only_the_standard_library():
     package_root = Path(lmexposure.__file__).parents[1]
     code = (

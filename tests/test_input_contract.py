@@ -166,6 +166,9 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @example(case="expert", index=_at("expert", "2-01"), token="2-x")
 @example(case="outcomes", index=_at("outcomes", "2-01"), token="2-x")
 @example(case="intensity", index=_at("intensity", "2-01"), token="2-x")
+@example(case="scores", index=_at("scores", "0.4240"), token=",")  # a row one cell long
+@example(case="taxonomy", index=_at("taxonomy", "true"), token=",")  # a row one cell long
+@example(case="scores", index=_at("scores", "0.3021"), token="\n")  # a row cut short
 @example(case="outcomes", index=_at("outcomes", "0.1"), token="0.2")  # shares sum to 1.1
 @example(case="intensity", index=_at("intensity", "2-02"), token="2-01")  # column twice
 @example(case="demographics", index=_at("demographics", "2"), token="1")  # column twice

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmexposure.annotate import AnnotationRun, ExposureCategory
+from lmexposure.cli import main
 from lmexposure.errors import ComputationError, InputFormatError
 from lmexposure.scores import (
     MODEL_COLUMNS,
@@ -245,3 +246,63 @@ def test_column_extraction(score_table):
     assert glm["2-08"] == pytest.approx(0.8164)
     with pytest.raises(KeyError):
         score_table.column("nonesuch")
+
+
+# --- score table reader contract ----------------------------------------------
+
+TABLE_HEADER = "code,title,expert,glm,gpt4,internlm,ensemble\n"
+
+
+def _score_cli(tmp_path, rows: str, capsys) -> tuple[int, str, str]:
+    """Run ``score --scores`` on a table of ``rows``: exit code, stderr, table path."""
+    path = tmp_path / "table.csv"
+    path.write_text(TABLE_HEADER + rows, encoding="utf-8")
+    code = main(["score", "--scores", str(path), "--out", str(tmp_path / "out.csv")])
+    return code, capsys.readouterr().err, str(path)
+
+
+@pytest.mark.parametrize(
+    "row,cells",
+    [("2-01,A,0.5,0.4\n", 4), ("2-01,A,0.5,0.4,0.3,0.2,0.1,0.9\n", 8), ("2-01\n", 1)],
+)
+def test_read_rejects_row_of_other_width(tmp_path, capsys, row, cells):
+    code, err, path = _score_cli(tmp_path, "2-02,B,,0.5,,,\n" + row, capsys)
+    assert code == 3
+    assert err == f"error: {path}:3: expected 7 cells, got {cells}\n"
+
+
+@pytest.mark.parametrize(
+    "rows,scores",
+    [
+        ("2-01,T, 0.5 ,0.25\t,,,\n", {"expert": 0.5, "glm": 0.25}),  # padded cells parse
+        ("2-01,T,,0.5,  ,,\n", {"glm": 0.5}),  # an empty cell is absent
+        ("\n2-01,T,,0.5,,,\n\n", {"glm": 0.5}),  # blank lines are skipped
+    ],
+)
+def test_read_cells(rows, scores):
+    (row,) = read_score_table(io.StringIO(TABLE_HEADER + rows)).rows
+    assert row.scores == scores
+
+
+def test_quoted_title_with_comma_round_trips():
+    text = TABLE_HEADER + '2-01,"Doctors, nurses",,0.5000,,,\n'
+    table = read_score_table(io.StringIO(text))
+    assert table.rows[0].title == "Doctors, nurses"
+    assert render_score_table(table) == text
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("2-01,T,,nan,,,", "glm value 'nan' is not a finite number"),
+        ("2-01,T,,inf,,,", "glm value 'inf' is not a finite number"),
+        ("2-01,T,,,1.5,,", "gpt4 value 1.5 is outside [0, 1]"),
+        ("2-01,T,abc,,,,", "expert value 'abc' is not a finite number"),
+        ("2-01,T,,, -0.5 ,,", "gpt4 value -0.5 is outside [0, 1]"),
+        ("2-x,T,,0.5,,,", "malformed occupation code '2-x'"),
+    ],
+)
+def test_bad_cell_exits_three_at_its_line(tmp_path, capsys, row, message):
+    code, err, path = _score_cli(tmp_path, f"2-02,B,,0.5,,,\n{row}\n", capsys)
+    assert code == 3
+    assert err == f"error: {path}:3: {message}\n"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmexposure.cli import main
 from lmexposure.errors import ComputationError, InputFormatError
 from lmexposure.taxonomy import (
     DuplicateCodeError,
@@ -251,3 +252,58 @@ def test_child_order_never_matters(tree, rng):
     assert set(baseline) == set(permuted)
     for code, value in baseline.items():
         assert permuted[code] == pytest.approx(value, abs=1e-12)
+
+
+# --- reader contract -----------------------------------------------------------
+
+
+def _validate(tmp_path, rows: str, capsys) -> tuple[int, str, str]:
+    """Run ``validate --taxonomy`` on a taxonomy of ``rows``: exit code, report, path."""
+    path = tmp_path / "taxonomy.csv"
+    path.write_text(HEADER + rows, encoding="utf-8")
+    code = main(["validate", "--taxonomy", str(path)])
+    return code, capsys.readouterr().out, str(path)
+
+
+@pytest.mark.parametrize("row,cells", [("2-01,B\n", 2), ("2-01,B,d,false,extra\n", 5)])
+def test_row_of_other_width_rejected(tmp_path, capsys, row, cells):
+    code, out, path = _validate(tmp_path, "2,A,d,false\n" + row, capsys)
+    assert code == 3
+    assert out == f"taxonomy: {path}:3: expected 4 cells, got {cells}\n"
+
+
+@pytest.mark.parametrize(
+    "rows,excluded",
+    [
+        (" 2 ,A,d, TRUE \n", True),  # padded code and flag
+        ("2,A,d,\n", False),  # an empty flag is false
+        ("2,A,d,Yes\n", True),
+        ("\n2,A,d,0\n\n", False),  # blank lines are skipped
+    ],
+)
+def test_code_and_flag_cells(rows, excluded):
+    tx = _tax(rows)
+    assert tx.node("2").excluded is excluded
+
+
+def test_quoted_title_with_comma_kept():
+    tx = _tax('2,"Doctors, nurses","d, too",false\n')
+    assert (tx.node("2").title, tx.node("2").description) == ("Doctors, nurses", "d, too")
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("2-x,B,d,false", "malformed occupation code '2-x'"),
+        ("nan,B,d,false", "malformed occupation code 'nan'"),
+        ("inf,B,d,false", "malformed occupation code 'inf'"),
+        ("1.5,B,d,false", "malformed occupation code '1.5'"),
+        ("abc,B,d,false", "malformed occupation code 'abc'"),
+        ("3,B,d,maybe", "unrecognized excluded flag 'maybe'"),
+        ("3,B,d, nan ", "unrecognized excluded flag ' nan '"),
+    ],
+)
+def test_bad_cell_exits_three_at_its_line(tmp_path, capsys, row, message):
+    code, out, path = _validate(tmp_path, f"2,A,d,false\n{row}\n", capsys)
+    assert code == 3
+    assert out == f"taxonomy: {path}:3: {message}\n"
