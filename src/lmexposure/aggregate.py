@@ -19,11 +19,11 @@ from .errors import (
     SHARE_SUM_TOL,
     ComputationError,
     InputFormatError,
+    code_cell,
     located,
     open_text,
     parse_finite,
 )
-from .taxonomy import OccupationCode
 
 
 class RowSumError(InputFormatError):
@@ -76,24 +76,25 @@ class IntensityMatrix:
         self, industries: list[str], occupations: list[str], beta: Sequence[Sequence[float]]
     ) -> None:
         rows = _to_rows(beta, len(industries), len(occupations), "intensity")
-        self._set(industries, occupations, rows, [OccupationCode.parse(c) for c in occupations])
+        self._set(industries, occupations, rows, [code_cell(c) for c in occupations])
 
     def _set(
         self,
         industries: list[str],
         occupations: list[str],
         beta: list[list[float]],
-        codes: list[OccupationCode],
+        codes: list[str],
     ) -> None:
-        """Check and keep float rows of the labels' shape and the parsed column codes."""
+        """Check and keep float rows of the labels' shape and the checked column codes."""
         self.industries = industries
         self.occupations = occupations
         self.beta = beta
-        levels = {code.level for code in codes}
-        if len(levels) > 1:
-            raise InputFormatError(
-                f"occupation columns mix taxonomy levels {sorted(l.name for l in levels)}"
-            )
+        segments = {code.count("-") for code in codes}  # a code's level is its segment count
+        if len(segments) > 1:
+            from .taxonomy import Level
+
+            levels = sorted(Level(n + 1).name for n in segments)
+            raise InputFormatError(f"occupation columns mix taxonomy levels {levels}")
         _check_rows(self.beta, self.industries, "intensity")
 
     @classmethod
@@ -129,7 +130,7 @@ class DemographicShares:
 
 
 def _read_share_file(source: str | Path, key_column: str):
-    """(row labels, columns, float rows, parsed occupation codes of the columns or None)."""
+    """(row labels, columns, float rows, checked occupation codes of the columns or None)."""
     rows: dict[str, list[float]] = {}
     codes = None
     with open_text(source, newline="") as handle:
@@ -143,7 +144,7 @@ def _read_share_file(source: str | Path, key_column: str):
             if not columns:
                 raise InputFormatError("share file has no weight columns")
             if key_column == "industry_id":  # intensity columns are occupation codes
-                codes = [OccupationCode.parse(code) for code in columns]
+                codes = [code_cell(code) for code in columns]
             if len(set(columns)) < len(columns):  # weights meet scores by column name
                 repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
                 raise InputFormatError(f"header names column {repeated!r} twice", line=1)
@@ -165,16 +166,22 @@ def _read_industry_column(source: str | Path, column: str, parse: Callable[[str]
     """``industry_id`` -> ``parse(row[column])``; a repeated id is an input error."""
     values = {}
     with open_text(source, newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         with located(source, reader):
-            if not {"industry_id", column}.issubset(reader.fieldnames or ()):
+            header = next(reader, None)
+            if not {"industry_id", column}.issubset(header or ()):
                 raise InputFormatError(f"header must contain industry_id,{column}", line=1)
+            width = len(header)
+            at = {name: i for i, name in enumerate(header)}  # a repeated name: its last cell
+            at_id, at_value = at["industry_id"], at[column]
             for row in reader:
-                if row["industry_id"] in values:
-                    raise InputFormatError(f"duplicate industry_id {row['industry_id']!r}")
-                if row[column] is None:
-                    raise InputFormatError(f"row has no {column} cell")
-                values[row["industry_id"]] = parse(row[column])
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise InputFormatError(f"expected {width} cells, got {len(row)}")
+                if row[at_id] in values:
+                    raise InputFormatError(f"duplicate industry_id {row[at_id]!r}")
+                values[row[at_id]] = parse(row[at_value])
     return values
 
 

@@ -7,25 +7,28 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .. import scores as sc
-from .. import taxonomy as tax
 from ..errors import EXIT_OK
 from . import RunConfig
 
-if TYPE_CHECKING:  # hints only: the ``aggregate`` command needs no projection
+if TYPE_CHECKING:  # hints only: each command imports the stage modules it runs
     from .. import aggregate as agg
+    from .. import taxonomy as tax
 
 
 def aggregated_csv(
     taxonomy: tax.Taxonomy, leaf_scores: dict[str, float], full_precision: bool
 ) -> str:
+    from .. import taxonomy as tax
+
     rolled = tax.aggregate_up(taxonomy, leaf_scores)
+    level_names = [level.name.lower() for level in tax.Level]  # indexed by level - 1
     lines = ["code,title,level,score"]
     for node in taxonomy.walk():
         raw = node.code.raw
         if raw in rolled:
             title = '"' + node.title.replace('"', '""') + '"'
             lines.append(
-                f"{raw},{title},{node.code.level.name.lower()},"
+                f"{raw},{title},{level_names[node.code.level - 1]},"
                 f"{sc.format_score(rolled[raw], full_precision)}"
             )
     return "\n".join(lines) + "\n"
@@ -51,6 +54,8 @@ def industry_csv(
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    from .. import taxonomy as tax
+
     config = RunConfig(command="aggregate")
     config.parameters = {"column": args.column, "full_precision": args.full_precision}
     taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))

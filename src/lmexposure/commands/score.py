@@ -6,7 +6,6 @@ import argparse
 from pathlib import Path
 
 from .. import scores as sc
-from .. import taxonomy as tax
 from ..errors import EXIT_OK
 from . import RunConfig
 
@@ -21,6 +20,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         runs = ann.read_annotation_store(config.add_input("annotations", args.annotations))
         titles = {}
         if args.taxonomy:
+            from .. import taxonomy as tax
+
             taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
             titles = {code: node.title for code, node in taxonomy.index.items()}
         table = sc.ScoreTable(rows=sc.records_from_runs(runs, titles))

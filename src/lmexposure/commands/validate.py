@@ -3,43 +3,45 @@
 from __future__ import annotations
 
 import argparse
+import importlib
+from operator import attrgetter
 from pathlib import Path
 
-from .. import aggregate as agg
-from .. import annotate as ann
-from .. import econ_model as econ
-from .. import labor_stats as lstats
-from .. import scores as sc
-from .. import taxonomy as tax
 from ..errors import EXIT_INPUT, EXIT_OK, LmExposureError
+
+# option -> (stage module, its loader). Only the modules of given options load.
+_LOADERS = {
+    "taxonomy": ("taxonomy", "load_taxonomy"),
+    "scores": ("scores", "read_score_table"),
+    "expert": ("scores", "read_expert_panel"),
+    "intensity": ("aggregate", "IntensityMatrix.from_csv"),
+    "demographics": ("aggregate", "DemographicShares.from_csv"),
+    "outcomes": ("labor_stats", "read_outcome_csv"),
+    "scenario": ("econ_model", "load_scenario"),
+    "annotations": ("annotate", "read_annotation_store"),
+    "mock": ("annotate", "load_mock_client"),  # scripted codes are checked against --taxonomy
+}
 
 
 def validate_inputs(args: argparse.Namespace) -> list[str]:
     """Dry-run schema and invariant checks; diagnostics, never exceptions."""
     diagnostics: list[str] = []
-
-    def _check(label: str, path: str | None, loader):
-        """What ``loader`` read from ``path``, or None with a diagnostic."""
+    taxonomy = None
+    for option, (module, loader) in _LOADERS.items():
+        path = getattr(args, option)
         if path is None:
-            return None
+            continue
         if not Path(path).is_file():
-            diagnostics.append(f"{label}: file not found: {path}")
-            return None
+            diagnostics.append(f"{option}: file not found: {path}")
+            continue
+        load = attrgetter(loader)(importlib.import_module(f"..{module}", __package__))
         try:
-            return loader(path)
+            loaded = load(path, taxonomy) if option == "mock" else load(path)
         except LmExposureError as exc:
-            diagnostics.append(f"{label}: {exc}")
-            return None
-
-    taxonomy = _check("taxonomy", args.taxonomy, tax.load_taxonomy)
-    _check("scores", args.scores, sc.read_score_table)
-    _check("expert", args.expert, sc.read_expert_panel)
-    _check("intensity", args.intensity, agg.IntensityMatrix.from_csv)
-    _check("demographics", args.demographics, agg.DemographicShares.from_csv)
-    _check("outcomes", args.outcomes, lstats.read_outcome_csv)
-    _check("scenario", args.scenario, econ.load_scenario)
-    _check("annotations", args.annotations, ann.read_annotation_store)
-    _check("mock", args.mock, lambda p: ann.load_mock_client(p, taxonomy))
+            diagnostics.append(f"{option}: {exc}")
+            continue
+        if option == "taxonomy":
+            taxonomy = loaded
     return diagnostics
 
 

@@ -4,18 +4,23 @@ Three families, mirrored by distinct exit codes: options that cannot apply
 to the inputs given (``ConfigError``), problems with the bytes we were given
 (``InputFormatError``) and problems discovered while computing on otherwise
 well-formed inputs (``ComputationError``). A reader names the file it reads
-once, through ``located``.
+once, through ``located``, and checks its cells with ``parse_finite`` and
+``code_cell``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
 # Tolerance of every sums-to-one check on shares and weights.
 SHARE_SUM_TOL = 1e-9
+
+# An occupation code in plain form: one to four dash-separated runs of digits.
+CODE_RE = re.compile(r"\d+(?:-\d+){0,3}")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,6 +83,20 @@ def parse_finite(value: object, what: str) -> float:
     if not math.isfinite(number):
         raise InputFormatError(f"{what} {value!r} is not a finite number")
     return number
+
+
+def code_cell(cell: str) -> str:
+    """The occupation code in a reader's cell, or ``MalformedCodeError``.
+
+    A cell in plain form is the code itself, so readers that keep only the
+    code need not import ``taxonomy``; any other cell goes through
+    ``OccupationCode.parse``, which strips it or raises.
+    """
+    if CODE_RE.fullmatch(cell):
+        return cell
+    from .taxonomy import OccupationCode
+
+    return OccupationCode.parse(cell).raw
 
 
 @contextmanager

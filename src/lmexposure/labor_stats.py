@@ -19,11 +19,11 @@ from .errors import (
     SHARE_SUM_TOL,
     ComputationError,
     InputFormatError,
+    code_cell,
     located,
     open_text,
     parse_finite,
 )
-from .taxonomy import OccupationCode
 
 # p-value cutoffs, most demanding first. Convention: * p<0.05, ** p<0.01,
 # *** p<0.001, consistent with the published star assignments.
@@ -129,16 +129,32 @@ def pearson(
     """Pearson r with the exact two-sided t-test on n-2 degrees of freedom."""
     if len(x) != len(y):
         raise ComputationError(f"series lengths differ: {len(x)} vs {len(y)}")
+    return _correlate(_moments(x), _moments(y), thresholds)
+
+
+def _moments(x: Sequence[float]) -> tuple[list[float], float]:
+    """A series' deviations from its mean and their sum of squares, for ``pearson``."""
     n = len(x)
     if n < 3:
         raise ComputationError(f"need at least 3 pairs for a correlation, got {n}")
     mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum([(a - mx) ** 2 for a in x])
-    syy = sum([(b - my) ** 2 for b in y])
+    deviations = [a - mx for a in x]
+    return deviations, sum([d**2 for d in deviations])
+
+
+def _correlate(
+    x: tuple[list[float], float],
+    y: tuple[list[float], float],
+    thresholds: tuple[tuple[float, str], ...],
+) -> CorrResult:
+    """``pearson`` from two series' ``_moments``."""
+    (dx, sxx), (dy, syy) = x, y
+    n = len(dx)
     if sxx == 0.0 or syy == 0.0:
         raise ConstantSeriesError("correlation undefined for a constant series")
-    sxy = sum([(a - mx) * (b - my) for a, b in zip(x, y)])
+    if x is y:  # a series with itself
+        return CorrResult(r=1.0, n=n, p_value=0.0, stars=stars_for(0.0, thresholds))
+    sxy = sum([a * b for a, b in zip(dx, dy)])
     # The product of two tiny sums can underflow to 0 where their roots do not.
     r = sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
     r = max(-1.0, min(1.0, r))
@@ -250,7 +266,7 @@ def read_outcome_csv(source: str | Path) -> OutcomeSeries:
                     continue
                 if len(row) != 2:
                     raise InputFormatError(f"expected 2 cells, got {len(row)}")
-                code = OccupationCode.parse(row[0]).raw
+                code = code_cell(row[0])
                 if code in values:
                     raise InputFormatError(f"duplicate code {code!r}")
                 values[code] = parse_finite(row[1], "outcome value")
@@ -265,21 +281,28 @@ def correlation_panel(
     """All pairwise correlations between named code-keyed columns.
 
     Pairs are restricted to the codes common to both columns; the panel is
-    symmetric with a unit diagonal.
+    symmetric with a unit diagonal. Where two columns cover the same codes,
+    each column's moments are computed once, with ``pearson``'s expressions.
     """
     codes = {name: sorted(column) for name, column in columns.items()}
-    values = {name: [columns[name][c] for c in codes[name]] for name in columns}
+    moments: dict[str, tuple[list[float], float]] = {}
+
+    def _column(name: str) -> tuple[list[float], float]:
+        if name not in moments:
+            moments[name] = _moments([columns[name][c] for c in codes[name]])
+        return moments[name]
+
     names = list(columns)
     panel: dict[tuple[str, str], CorrResult] = {}
     for i, a in enumerate(names):
         for b in names[i:]:
             if codes[a] == codes[b]:  # the common case: both columns cover the same codes
-                xs, ys = values[a], values[b]
+                result = _correlate(_column(a), _column(b), thresholds)
             else:
                 common = [c for c in codes[a] if c in columns[b]]
                 xs = [columns[a][c] for c in common]
                 ys = [columns[b][c] for c in common]
-            result = pearson(xs, ys, thresholds)
+                result = pearson(xs, ys, thresholds)
             panel[(a, b)] = result
             panel[(b, a)] = result
     return panel

@@ -13,11 +13,19 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import ComputationError, InputFormatError, located, open_text, parse_finite
-from .taxonomy import OccupationCode
+from .errors import (
+    ComputationError,
+    InputFormatError,
+    code_cell,
+    located,
+    open_text,
+    parse_finite,
+)
 
 if TYPE_CHECKING:  # hints only: importing scores must not load annotate
     from .annotate import AnnotationRun, ExposureCategory
@@ -83,16 +91,24 @@ def read_expert_panel(source: str | Path) -> ExpertPanel:
     """Read a long-format expert score file with header ``code,score``."""
     scores: dict[str, list[float]] = {}
     with open_text(source, newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         with located(source, reader):
-            if reader.fieldnames is None or not {"code", "score"}.issubset(reader.fieldnames):
+            header = next(reader, None)
+            if header is None or not {"code", "score"}.issubset(header):
                 raise InputFormatError(
-                    f"expert panel header must contain ['code', 'score'], got {reader.fieldnames}",
+                    f"expert panel header must contain ['code', 'score'], got {header}",
                     line=1,
                 )
+            width = len(header)
+            at = {name: i for i, name in enumerate(header)}  # a repeated name: its last cell
+            at_code, at_score = at["code"], at["score"]
             for row in reader:
-                code = OccupationCode.parse(row["code"]).raw
-                scores.setdefault(code, []).append(_parse_score(row["score"], "expert score"))
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise InputFormatError(f"expected {width} cells, got {len(row)}")
+                code = code_cell(row[at_code])
+                scores.setdefault(code, []).append(_parse_score(row[at_score], "expert score"))
     return ExpertPanel(scores=scores)
 
 
@@ -180,7 +196,7 @@ def _read_table(handle, path: str) -> ScoreTable:
                 continue
             if len(row) != width:
                 raise InputFormatError(f"expected {width} cells, got {len(row)}")
-            code = OccupationCode.parse(row[0]).raw
+            code = code_cell(row[0])
             if code in seen:
                 raise InputFormatError(f"duplicate code {code!r}")
             seen.add(code)
@@ -205,14 +221,27 @@ def format_score(value: float | None, full_precision: bool = False) -> str:
     return repr(value) if full_precision else f"{value:.4f}"
 
 
+# Characters that make ``csv.writer`` quote a title (or that might, in some version).
+_QUOTED_TITLE = re.compile('[",\r\n]')
+
+
 def render_score_table(table: ScoreTable, full_precision: bool = False) -> str:
-    """Serialize a score table to CSV text (4-decimal unless full precision)."""
+    """Serialize a score table to CSV text (4-decimal unless full precision).
+
+    A row with every score and a title that needs no quotes is one %-format,
+    as ``csv.writer`` would write it; any other row goes through the writer.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SCORE_TABLE_HEADER)
+    line = "%s,%s," + ",".join(["%r" if full_precision else "%.4f"] * len(SCORE_COLUMNS)) + "\n"
+    cells = itemgetter(*SCORE_COLUMNS)
     for row in table.rows:
-        cells = (format_score(row.scores.get(name), full_precision) for name in SCORE_COLUMNS)
-        writer.writerow([row.code, row.title, *cells])
+        if len(row.scores) == len(SCORE_COLUMNS) and not _QUOTED_TITLE.search(row.title):
+            buffer.write(line % (row.code, row.title, *cells(row.scores)))
+        else:
+            scores = (format_score(row.scores.get(name), full_precision) for name in SCORE_COLUMNS)
+            writer.writerow([row.code, row.title, *scores])
     return buffer.getvalue()
 
 
@@ -220,9 +249,10 @@ def recompute_ensemble(table: ScoreTable) -> ScoreTable:
     """Return a copy of the table with the ensemble column recomputed."""
     rows = []
     for row in table.rows:
-        scores = {name: v for name, v in row.scores.items() if name != "ensemble"}
-        models = {name: v for name, v in scores.items() if name in MODEL_COLUMNS}
+        scores = row.scores.copy()
+        scores.pop("ensemble", None)
+        models = [v for name, v in scores.items() if name in MODEL_COLUMNS]
         if models:
-            scores["ensemble"] = ensemble(models)
+            scores["ensemble"] = sum(models) / len(models)  # as ``ensemble``
         rows.append(ScoreRow(code=row.code, title=row.title, scores=scores))
     return ScoreTable(rows=rows)

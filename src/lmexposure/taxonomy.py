@@ -13,12 +13,11 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import re
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import ComputationError, InputFormatError, located, open_text
+from .errors import CODE_RE, ComputationError, InputFormatError, located, open_text
 
 
 class Level(IntEnum):
@@ -31,8 +30,6 @@ class Level(IntEnum):
 
 
 _LEVELS = tuple(Level)  # indexed by segment count - 1
-
-_CODE_RE = re.compile(r"^\d+(-\d+)*$")
 
 
 class MalformedCodeError(InputFormatError):
@@ -64,20 +61,20 @@ class OccupationCode(NamedTuple):
     @functools.lru_cache(maxsize=4096)  # a command meets one code in several files
     def parse(cls, raw: str) -> "OccupationCode":
         raw = raw.strip()
-        if not _CODE_RE.match(raw):
-            raise MalformedCodeError(f"malformed occupation code {raw!r}")
-        n = raw.count("-") + 1
-        if n > Level.FINE:
+        if not CODE_RE.fullmatch(raw):
+            segments = raw.split("-")
+            if not all(segment.isdecimal() for segment in segments):  # isdecimal is \d
+                raise MalformedCodeError(f"malformed occupation code {raw!r}")
             raise MalformedCodeError(
-                f"occupation code {raw!r} has {n} segments, maximum is {int(Level.FINE)}"
+                f"occupation code {raw!r} has {len(segments)} segments, "
+                f"maximum is {int(Level.FINE)}"
             )
-        return cls(raw, _LEVELS[n - 1])
+        return cls(raw, _LEVELS[raw.count("-")])
 
     def parent_raw(self) -> str | None:
         """Code of the immediate parent, or None for large categories."""
-        if self.level == Level.LARGE:
-            return None
-        return self.raw.rsplit("-", 1)[0]
+        parent, dash, _ = self.raw.rpartition("-")
+        return parent if dash else None
 
     def __str__(self) -> str:
         return self.raw
@@ -184,16 +181,21 @@ def _load(handle: Iterable[str], path: str | None) -> Taxonomy:
                 continue
             if len(row) != width:
                 raise InputFormatError(f"expected {width} cells, got {len(row)}")
-            code = OccupationCode.parse(row[at_code])
-            if code.raw in lines:
+            raw = row[at_code]
+            if CODE_RE.fullmatch(raw):  # a plain code: no strip, no cache
+                code = OccupationCode(raw, _LEVELS[raw.count("-")])
+            else:
+                code = OccupationCode.parse(raw)
+                raw = code.raw
+            if raw in lines:
                 raise DuplicateCodeError(
-                    f"duplicate occupation code {code.raw!r} (first seen on line {lines[code.raw]})"
+                    f"duplicate occupation code {raw!r} (first seen on line {lines[raw]})"
                 )
-            lines[code.raw] = reader.line_num
+            lines[raw] = reader.line_num
             excluded = _EXCLUDED.get(row[at_excluded].strip().lower())
             if excluded is None:
                 raise InputFormatError(f"unrecognized excluded flag {row[at_excluded]!r}")
-            index[code.raw] = OccupationNode(code, row[at_title], row[at_description], excluded)
+            index[raw] = OccupationNode(code, row[at_title], row[at_description], excluded)
 
         roots: list[OccupationNode] = []
         for raw, node in index.items():
@@ -210,13 +212,11 @@ def _load(handle: Iterable[str], path: str | None) -> Taxonomy:
             parent.children.append(node)
 
     # Exclusion is inherited: a subtree rooted at an excluded node is excluded.
-    def _propagate(node: OccupationNode, excluded: bool) -> None:
-        node.excluded = node.excluded or excluded
-        for child in node.children:
-            _propagate(child, node.excluded)
-
-    for root in roots:
-        _propagate(root, False)
+    stack = [node for node in index.values() if node.excluded]
+    while stack:
+        for child in stack.pop().children:
+            child.excluded = True
+            stack.append(child)
 
     return Taxonomy(roots, index)
 

@@ -239,3 +239,22 @@ def test_repeated_column_is_rejected_at_the_header(tmp_path, reader, text):
     with pytest.raises(InputFormatError, match="header names column '(2-01|1)' twice") as err:
         reader(path)
     assert (err.value.path, err.value.line) == (str(path), 1)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_industry_names, "industry_id,name\n2,Mining\n1,Farming,extra\n"),
+        (read_industry_scores, "industry_id,score\n2,0.5\n1,0.2,0.9\n"),
+        (read_industry_names, "industry_id,name\n2,Mining\n1\n"),
+    ],
+    ids=["names_extra", "scores_extra", "names_short"],
+)
+def test_industry_row_of_other_width_is_rejected_at_its_line(tmp_path, reader, text):
+    # An extra cell used to be dropped without a word: {'1': 'Farming'}.
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    cells = len(text.splitlines()[2].split(","))
+    with pytest.raises(InputFormatError, match=f"expected 2 cells, got {cells}$") as err:
+        reader(path)
+    assert (err.value.path, err.value.line) == (str(path), 3)

@@ -725,7 +725,7 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
     )
     at_import, after_stats = result.stdout.splitlines()
     base = ["lmexposure", "lmexposure.cli", "lmexposure.errors", "lmexposure.runio"]
-    base += ["lmexposure.scores", "lmexposure.taxonomy"]
+    base += ["lmexposure.scores"]
     assert at_import == f"{base} False"
     assert "lmexposure.labor_stats" in after_stats
     assert "lmexposure.annotate" not in after_stats
@@ -736,9 +736,19 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
     "argv, own",
     [
         (["stats", "--scores", SCORES], ["commands.stats", "labor_stats"]),
-        (["aggregate", "--taxonomy", TAXONOMY, "--scores", SCORES], ["commands.aggregate"]),
+        (
+            ["aggregate", "--taxonomy", TAXONOMY, "--scores", SCORES],
+            ["commands.aggregate", "taxonomy"],
+        ),
+        (["score", "--scores", SCORES], ["commands.score"]),
+        (
+            ["industry", "--intensity", INTENSITY, "--scores", SCORES],
+            ["commands.aggregate", "aggregate"],
+        ),
+        (["contour", "--scenario", SCENARIO], ["commands.adoption", "econ_model"]),
+        (["simulate", "--scenario", SCENARIO], ["commands.adoption", "econ_model"]),
     ],
-    ids=["stats", "aggregate"],
+    ids=["stats", "aggregate", "score", "industry", "contour", "simulate"],
 )
 def test_a_command_loads_only_its_own_modules(tmp_path, argv, own):
     package_root = Path(lmexposure.__file__).parents[1]
@@ -751,9 +761,25 @@ def test_a_command_loads_only_its_own_modules(tmp_path, argv, own):
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    base = ["cli", "commands", "errors", "runio", "scores", "taxonomy"]
+    base = ["cli", "commands", "errors", "runio", "scores"]
     expected = ["lmexposure"] + [f"lmexposure.{name}" for name in base + own]
     assert result.stdout.strip() == str(sorted(expected))
+
+
+def test_validate_loads_only_the_readers_of_its_options():
+    package_root = Path(lmexposure.__file__).parents[1]
+    argv = ["validate", "--taxonomy", TAXONOMY, "--scores", SCORES]
+    code = (
+        "import sys, lmexposure.cli\n"
+        f"assert lmexposure.cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('lmexposure')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    base = ["cli", "commands", "commands.validate", "errors", "runio", "scores", "taxonomy"]
+    assert result.stdout.strip() == str(["lmexposure"] + [f"lmexposure.{m}" for m in base])
 
 
 def test_no_handler_imports_the_cli_module(tmp_path):

@@ -154,6 +154,22 @@ def test_read_expert_panel_rejects_out_of_range(tmp_path, bad):
         read_expert_panel(path)
 
 
+@pytest.mark.parametrize("row, cells", [("2-01,0.4,0.9", 3), ("2-01", 1)])
+def test_read_expert_panel_rejects_row_of_other_width(tmp_path, row, cells):
+    # An extra cell used to be dropped without a word, and a short row read as None.
+    path = tmp_path / "panel.csv"
+    path.write_text(f"code,score\n2-02,0.5\n{row}\n")
+    with pytest.raises(InputFormatError, match=f"^{path}:3: expected 2 cells, got {cells}$"):
+        read_expert_panel(path)
+
+
+def test_validate_expert_rejects_an_extra_cell(tmp_path, capsys):
+    path = tmp_path / "panel.csv"
+    path.write_text("code,score\n2-01,0.4,0.9\n")
+    assert main(["validate", "--expert", str(path)]) == 3
+    assert capsys.readouterr().out == f"expert: {path}:2: expected 2 cells, got 3\n"
+
+
 # --- records --------------------------------------------------------------------
 
 
