@@ -9,7 +9,6 @@ errors, never silently renormalized.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from pathlib import Path
@@ -19,9 +18,10 @@ from .errors import (
     SHARE_SUM_TOL,
     ComputationError,
     InputFormatError,
+    cells_at,
     code_cell,
+    csv_input,
     located,
-    open_text,
     parse_finite,
 )
 
@@ -133,55 +133,39 @@ def _read_share_file(source: str | Path, key_column: str):
     """(row labels, columns, float rows, checked occupation codes of the columns or None)."""
     rows: dict[str, list[float]] = {}
     codes = None
-    with open_text(source, newline="") as handle:
-        reader = csv.reader(handle)
-        with located(source, reader):
-            header = next(reader, None)
-            if not header or header[0] != key_column:
-                got = header[0] if header else "nothing"
-                raise InputFormatError(f"first column must be {key_column!r}, got {got}", line=1)
-            columns = header[1:]
-            if not columns:
-                raise InputFormatError("share file has no weight columns")
-            if key_column == "industry_id":  # intensity columns are occupation codes
-                codes = [code_cell(code) for code in columns]
-            if len(set(columns)) < len(columns):  # weights meet scores by column name
-                repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
-                raise InputFormatError(f"header names column {repeated!r} twice", line=1)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise InputFormatError(f"expected {len(header)} cells, got {len(row)}")
-                if row[0] in rows:  # results are keyed by label: a repeat would replace
-                    raise InputFormatError(f"duplicate {key_column} {row[0]!r}")
-                try:
-                    rows[row[0]] = list(map(float, row[1:]))
-                except ValueError as exc:
-                    raise InputFormatError(f"non-numeric share: {exc}") from None
+    with csv_input(source) as (header, lines, _):
+        if not header or header[0] != key_column:
+            got = header[0] if header else "nothing"
+            raise InputFormatError(f"first column must be {key_column!r}, got {got}", line=1)
+        columns = header[1:]
+        if not columns:
+            raise InputFormatError("share file has no weight columns")
+        if key_column == "industry_id":  # intensity columns are occupation codes
+            codes = [code_cell(code) for code in columns]
+        if len(set(columns)) < len(columns):  # weights meet scores by column name
+            repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
+            raise InputFormatError(f"header names column {repeated!r} twice", line=1)
+        for row in lines:
+            if row[0] in rows:  # results are keyed by label: a repeat would replace
+                raise InputFormatError(f"duplicate {key_column} {row[0]!r}")
+            try:
+                rows[row[0]] = list(map(float, row[1:]))
+            except ValueError as exc:
+                raise InputFormatError(f"non-numeric share: {exc}") from None
     return list(rows), columns, list(rows.values()), codes
 
 
 def _read_industry_column(source: str | Path, column: str, parse: Callable[[str], object]) -> dict:
     """``industry_id`` -> ``parse(row[column])``; a repeated id is an input error."""
     values = {}
-    with open_text(source, newline="") as handle:
-        reader = csv.reader(handle)
-        with located(source, reader):
-            header = next(reader, None)
-            if not {"industry_id", column}.issubset(header or ()):
-                raise InputFormatError(f"header must contain industry_id,{column}", line=1)
-            width = len(header)
-            at = {name: i for i, name in enumerate(header)}  # a repeated name: its last cell
-            at_id, at_value = at["industry_id"], at[column]
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise InputFormatError(f"expected {width} cells, got {len(row)}")
-                if row[at_id] in values:
-                    raise InputFormatError(f"duplicate industry_id {row[at_id]!r}")
-                values[row[at_id]] = parse(row[at_value])
+    with csv_input(source) as (header, rows, _):
+        if not {"industry_id", column}.issubset(header or ()):
+            raise InputFormatError(f"header must contain industry_id,{column}", line=1)
+        at_id, at_value = cells_at(header, ("industry_id", column))
+        for row in rows:
+            if row[at_id] in values:
+                raise InputFormatError(f"duplicate industry_id {row[at_id]!r}")
+            values[row[at_id]] = parse(row[at_value])
     return values
 
 

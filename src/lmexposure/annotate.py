@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
-from .errors import ComputationError, InputFormatError, LmExposureError, located, open_text
+from .errors import ComputationError, InputFormatError, LmExposureError, json_object, located, open_text
 from .scores import MODEL_COLUMNS
 from .taxonomy import OccupationCode, OccupationNode, Taxonomy
 
@@ -346,13 +346,9 @@ def load_mock_client(
     ``{"kind": "scripted", "answers": {"2-06": ["E1", ...]}}`` (the scripted
     kind needs a taxonomy to resolve codes to titles).
     """
+    config = json_object(source, "mock configuration")
     with located(source):
-        try:
-            with open_text(source) as handle:
-                config = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"invalid mock configuration JSON: {exc}") from None
-        kind = config.get("kind") if isinstance(config, dict) else None
+        kind = config.get("kind")
         if not isinstance(kind, str) or kind not in _MOCK_ANSWERS:
             raise InputFormatError(f"unknown mock client kind {kind!r}")
         key, expected, type_name = _MOCK_ANSWERS[kind]
@@ -436,7 +432,7 @@ def read_annotation_store(source: str | Path) -> list[AnnotationRun]:
                 continue
             try:
                 runs.append(_record_to_run(json.loads(line)))
-            except (KeyError, TypeError, ValueError, LmExposureError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError, LmExposureError) as exc:
                 raise InputFormatError(f"bad annotation record: {exc}", line=line_no) from None
     return runs
 

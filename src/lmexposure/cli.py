@@ -66,7 +66,7 @@ def _annotate_arguments(p: argparse.ArgumentParser) -> None:
         choices=["leaf", "large", "medium", "small", "fine"],
         help="which taxonomy nodes to annotate (default leaf nodes)",
     )
-    _add_common(p)
+    p.add_argument("--out", required=True, help="annotation store JSONL to create")
     p.set_defaults(handler=("annotate", "cmd_annotate"))
 
 

@@ -11,6 +11,7 @@ not in ``runio``: its writes then show as ``runio`` calls of their own.
 
 from __future__ import annotations
 
+import argparse
 from pathlib import Path
 from typing import Mapping
 
@@ -18,21 +19,20 @@ from .. import runio
 
 
 class RunConfig:
-    """What a run consumed and produced, for the manifest."""
+    """What a run consumed and produced, for the manifest.
 
-    def __init__(
-        self,
-        command: str,
-        inputs: dict[str, Path] | None = None,
-        outputs: dict[str, Path] | None = None,
-        parameters: dict[str, object] | None = None,
-        manifest: Path | None = None,  # defaults to ``<primary output>.manifest.json``
-    ) -> None:
-        self.command = command
-        self.inputs = {} if inputs is None else inputs
-        self.outputs = {} if outputs is None else outputs
-        self.parameters = {} if parameters is None else parameters
-        self.manifest = manifest
+    The command comes from ``args``, and so does ``full_precision`` where the
+    command has that option; a handler adds the other parameters it uses.
+    """
+
+    def __init__(self, args: argparse.Namespace, manifest: Path | None = None) -> None:
+        self.command = args.command
+        self.inputs: dict[str, Path] = {}
+        self.outputs: dict[str, Path] = {}
+        self.parameters: dict[str, object] = {}
+        if hasattr(args, "full_precision"):
+            self.parameters["full_precision"] = args.full_precision
+        self.manifest = manifest  # None: ``<primary output>.manifest.json``
 
     def add_input(self, role: str, path: str | Path) -> Path:
         p = Path(path)

@@ -16,8 +16,10 @@ from . import RunConfig
 def _scenario_inputs(args: argparse.Namespace, config: RunConfig):
     if args.rho is not None and not math.isfinite(args.rho):
         raise InputFormatError(f"--rho must be a finite number, got {args.rho}")
+    config.parameters["rho"] = args.rho
     r_occ = None
     if args.scores:
+        config.parameters["column"] = args.column
         r_occ = sc.read_score_table(config.add_input("scores", args.scores)).column(args.column)
     return econ.load_scenario(
         config.add_input("scenario", args.scenario), r_occ=r_occ, rho_override=args.rho
@@ -31,7 +33,7 @@ def _law_payload(law: econ.GrowthLaw) -> dict[str, object]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = RunConfig(command="simulate")
+    config = RunConfig(args)
     sectors, law = _scenario_inputs(args, config)
     decisions = econ.optimal_decisions(sectors, law)
     rows = [
@@ -54,7 +56,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "adopting_sectors": sum(decisions),
         "sectors": rows,
     }
-    config.parameters = {"rho": args.rho}
     config.emit({"report": (Path(args.out), runio.dump_json(payload, args.full_precision))})
     return EXIT_OK
 
@@ -85,7 +86,7 @@ def _parse_grid(spec: str | None, default: list[float]) -> list[float]:
 
 
 def cmd_contour(args: argparse.Namespace) -> int:
-    config = RunConfig(command="contour")
+    config = RunConfig(args)
     sectors, law = _scenario_inputs(args, config)
     sectors = sorted(sectors, key=lambda s: s.exposure, reverse=True)
     delta_grid = _parse_grid(args.delta_grid, econ.default_delta_grid())
@@ -102,10 +103,11 @@ def cmd_contour(args: argparse.Namespace) -> int:
             + ","
             + ",".join(sc.format_score(v, args.full_precision) for v in row)
         )
-    config.parameters = {
-        "rho": args.rho,
-        "delta_points": len(delta_grid),
-        "ratio_points": len(ratio_grid),
-    }
+    config.parameters.update(
+        delta_grid=args.delta_grid,
+        ratio_grid=args.ratio_grid,
+        delta_points=len(delta_grid),
+        ratio_points=len(ratio_grid),
+    )
     config.emit({"contour": (Path(args.out), "\n".join(lines) + "\n")})
     return EXIT_OK

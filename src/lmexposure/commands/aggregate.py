@@ -56,8 +56,8 @@ def industry_csv(
 def cmd_aggregate(args: argparse.Namespace) -> int:
     from .. import taxonomy as tax
 
-    config = RunConfig(command="aggregate")
-    config.parameters = {"column": args.column, "full_precision": args.full_precision}
+    config = RunConfig(args)
+    config.parameters["column"] = args.column
     taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
     leaf_scores = sc.read_score_table(config.add_input("scores", args.scores)).column(args.column)
     text = aggregated_csv(taxonomy, leaf_scores, args.full_precision)
@@ -68,8 +68,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 def cmd_industry(args: argparse.Namespace) -> int:
     from .. import aggregate as agg
 
-    config = RunConfig(command="industry")
-    config.parameters = {"column": args.column, "full_precision": args.full_precision}
+    config = RunConfig(args)
+    config.parameters["column"] = args.column
     matrix = agg.IntensityMatrix.from_csv(config.add_input("intensity", args.intensity))
     r_occ = sc.read_score_table(config.add_input("scores", args.scores)).column(args.column)
     names = None
@@ -83,8 +83,7 @@ def cmd_industry(args: argparse.Namespace) -> int:
 def cmd_demographic(args: argparse.Namespace) -> int:
     from .. import aggregate as agg
 
-    config = RunConfig(command="demographic")
-    config.parameters = {"full_precision": args.full_precision}
+    config = RunConfig(args)
     shares = agg.DemographicShares.from_csv(
         config.add_input("demographics", args.demographics)
     )

@@ -46,7 +46,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         if failed:
             print(f"error: {message}", file=sys.stderr)
             return EXIT_CONFIG
-    config = RunConfig(command="annotate")
+    config = RunConfig(args)
     taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
     rubric = ann.DEFAULT_RUBRIC
     if args.rubric:
@@ -92,12 +92,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     store = ann.AnnotationStore(path=out, clock=clock)
     store.append(runs)
     config.outputs["annotations"] = out
-    config.parameters = {
-        "models": model_ids,
-        "n_samples": args.n_samples,
-        "max_retries": args.max_retries,
-        "level": args.level,
-        "client": "mock" if args.mock else live_spec,
-    }
+    config.parameters.update(
+        models=model_ids,
+        n_samples=args.n_samples,
+        max_retries=args.max_retries,
+        level=args.level,
+        client="mock" if args.mock else live_spec,
+    )
     config.write_manifest()
     return EXIT_OK

@@ -22,8 +22,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     ``--full-precision`` the outputs equal those of the chained commands.
     """
     outdir = Path(args.outdir)
-    config = RunConfig(command="pipeline", manifest=outdir / "manifest.json")
-    config.parameters = {"column": args.column, "full_precision": args.full_precision}
+    config = RunConfig(args, manifest=outdir / "manifest.json")
+    config.parameters["column"] = args.column
     full = args.full_precision
     table = sc.recompute_ensemble(sc.read_score_table(config.add_input("scores", args.scores)))
     taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))

@@ -11,8 +11,7 @@ from . import RunConfig
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    config = RunConfig(command="score")
-    config.parameters = {"full_precision": args.full_precision}
+    config = RunConfig(args)
 
     if args.annotations:
         from .. import annotate as ann

@@ -43,7 +43,7 @@ def summary_payload(table: sc.ScoreTable) -> dict[str, object]:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    config = RunConfig(command="stats")
+    config = RunConfig(args)
     table = sc.read_score_table(config.add_input("scores", args.scores))
     plot: dict[str, tuple[Path, str]] = {}
 
@@ -64,7 +64,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 for code, title, x, y in report.rows
             ],
         }
-        config.parameters = {"mode": "scatter", "column": args.column}
+        config.parameters.update(mode="scatter", column=args.column)
         if args.plot_data:
             triples = ["x,y,label"]
             for code, _, x, y in report.rows:
@@ -78,10 +78,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         common = sorted(set(col_a) & set(col_b))
         result = lstats.pearson([col_a[c] for c in common], [col_b[c] for c in common])
         payload = {"kind": "pair", "a": a, "b": b, **corr_payload(result)}
-        config.parameters = {"mode": "pair", "a": a, "b": b}
+        config.parameters.update(mode="pair", a=a, b=b)
     else:
         payload = summary_payload(table)
-        config.parameters = {"mode": "summary"}
+        config.parameters["mode"] = "summary"
 
     # The report is the primary output: the manifest is named after it.
     report_out = (Path(args.out), runio.dump_json(payload, args.full_precision))

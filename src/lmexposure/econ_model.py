@@ -11,7 +11,6 @@ separable, so the per-sector rule is globally optimal.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -21,8 +20,8 @@ from .errors import (
     ComputationError,
     ConfigError,
     InputFormatError,
+    json_object,
     located,
-    open_text,
     parse_finite,
 )
 
@@ -291,15 +290,8 @@ def load_scenario(
     replaces the rho of an exponential law; on a tabulated law it raises
     ``ConfigError``.
     """
+    config = json_object(source, "scenario")
     with located(source):
-        try:
-            with open_text(source) as handle:
-                config = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"invalid scenario JSON: {exc}") from None
-        if not isinstance(config, dict):
-            raise InputFormatError("scenario must be a JSON object")
-
         law_spec = config.get("law", "exponential")
         if law_spec == "exponential" or (
             isinstance(law_spec, dict) and law_spec.get("kind") == "exponential"

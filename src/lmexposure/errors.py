@@ -3,16 +3,18 @@
 Three families, mirrored by distinct exit codes: options that cannot apply
 to the inputs given (``ConfigError``), problems with the bytes we were given
 (``InputFormatError``) and problems discovered while computing on otherwise
-well-formed inputs (``ComputationError``). A reader names the file it reads
-once, through ``located``, and checks its cells with ``parse_finite`` and
-``code_cell``.
+well-formed inputs (``ComputationError``). A reader opens its file through
+``csv_input`` or ``json_object``, which name the file, at its line, in every
+error; it checks its cells with ``parse_finite`` and ``code_cell``.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -107,3 +109,49 @@ def open_text(source: str | Path, newline: str | None = None) -> Iterator[TextIO
             yield handle
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"not UTF-8 text: {exc}", path=str(source)) from None
+
+
+@contextmanager
+def csv_input(source: str | Path | TextIO) -> Iterator[tuple]:
+    """``(header, rows, reader)`` of a CSV input: a path or an open stream.
+
+    ``rows`` yields the non-blank rows, each with the header's cells, and
+    ``reader.line_num`` is the line a row ends on. A package error or a
+    ``csv.Error`` raised in the block names the file, at that line.
+    """
+    named = isinstance(source, (str, Path))
+    path = str(source) if named else getattr(source, "name", "<stream>")
+    with open_text(source, newline="") if named else nullcontext(source) as handle:
+        reader = csv.reader(handle)
+        with located(path, reader):
+            try:
+                header = next(reader, None)
+                yield header, _rows(reader, len(header or ())), reader
+            except csv.Error as exc:
+                raise InputFormatError(f"malformed CSV: {exc}") from None
+
+
+def _rows(reader, width: int) -> Iterator[list[str]]:
+    for row in reader:
+        if row:
+            if len(row) != width:
+                raise InputFormatError(f"expected {width} cells, got {len(row)}")
+            yield row
+
+
+def cells_at(header: list[str], names: tuple[str, ...]) -> list[int]:
+    """The cell index of each name in ``header``; a repeated name: its last cell."""
+    at = {name: i for i, name in enumerate(header)}
+    return [at[name] for name in names]
+
+
+def json_object(source: str | Path, what: str) -> dict:
+    """The JSON object in file ``source``; anything else names the file."""
+    try:
+        with open_text(source) as handle:
+            value = json.load(handle)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputFormatError(f"invalid {what} JSON: {exc}", path=str(source)) from None
+    if not isinstance(value, dict):
+        raise InputFormatError(f"{what} must be a JSON object", path=str(source))
+    return value

@@ -9,7 +9,6 @@ values drop the pair; every report records the effective n.
 
 from __future__ import annotations
 
-import csv
 import math
 from enum import Enum
 from pathlib import Path
@@ -20,8 +19,8 @@ from .errors import (
     ComputationError,
     InputFormatError,
     code_cell,
+    csv_input,
     located,
-    open_text,
     parse_finite,
 )
 
@@ -251,25 +250,18 @@ def read_outcome_csv(source: str | Path) -> OutcomeSeries:
     """Read an outcome file: header ``code,<kind>``, one value per code."""
     kinds = {k.value for k in OutcomeKind}
     values: dict[str, float] = {}
-    with open_text(source, newline="") as handle:
-        reader = csv.reader(handle)
-        with located(source, reader):
-            header = next(reader, None)
-            if not header or len(header) != 2 or header[0] != "code" or header[1] not in kinds:
-                raise InputFormatError(
-                    f"outcome header must be code,<kind> with kind in {sorted(kinds)}, "
-                    f"got {header}",
-                    line=1,
-                )
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise InputFormatError(f"expected 2 cells, got {len(row)}")
-                code = code_cell(row[0])
-                if code in values:
-                    raise InputFormatError(f"duplicate code {code!r}")
-                values[code] = parse_finite(row[1], "outcome value")
+    with csv_input(source) as (header, rows, _):
+        if not header or len(header) != 2 or header[0] != "code" or header[1] not in kinds:
+            raise InputFormatError(
+                f"outcome header must be code,<kind> with kind in {sorted(kinds)}, "
+                f"got {header}",
+                line=1,
+            )
+        for row in rows:
+            code = code_cell(row[0])
+            if code in values:
+                raise InputFormatError(f"duplicate code {code!r}")
+            values[code] = parse_finite(row[1], "outcome value")
     with located(source):  # the whole file, as vacancy shares must sum to one
         return OutcomeSeries(kind=OutcomeKind(header[1]), values=values)
 

@@ -21,9 +21,9 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import (
     ComputationError,
     InputFormatError,
+    cells_at,
     code_cell,
-    located,
-    open_text,
+    csv_input,
     parse_finite,
 )
 
@@ -90,25 +90,15 @@ def _parse_score(cell: str | None, what: str) -> float:
 def read_expert_panel(source: str | Path) -> ExpertPanel:
     """Read a long-format expert score file with header ``code,score``."""
     scores: dict[str, list[float]] = {}
-    with open_text(source, newline="") as handle:
-        reader = csv.reader(handle)
-        with located(source, reader):
-            header = next(reader, None)
-            if header is None or not {"code", "score"}.issubset(header):
-                raise InputFormatError(
-                    f"expert panel header must contain ['code', 'score'], got {header}",
-                    line=1,
-                )
-            width = len(header)
-            at = {name: i for i, name in enumerate(header)}  # a repeated name: its last cell
-            at_code, at_score = at["code"], at["score"]
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise InputFormatError(f"expected {width} cells, got {len(row)}")
-                code = code_cell(row[at_code])
-                scores.setdefault(code, []).append(_parse_score(row[at_score], "expert score"))
+    with csv_input(source) as (header, rows, _):
+        if header is None or not {"code", "score"}.issubset(header):
+            raise InputFormatError(
+                f"expert panel header must contain ['code', 'score'], got {header}", line=1
+            )
+        at_code, at_score = cells_at(header, ("code", "score"))
+        for row in rows:
+            code = code_cell(row[at_code])
+            scores.setdefault(code, []).append(_parse_score(row[at_score], "expert score"))
     return ExpertPanel(scores=scores)
 
 
@@ -173,29 +163,15 @@ def records_from_runs(
 
 def read_score_table(source: str | Path | io.TextIOBase) -> ScoreTable:
     """Read a score table file with the canonical header."""
-    if isinstance(source, (str, Path)):
-        with open_text(source, newline="") as handle:
-            return _read_table(handle, str(source))
-    return _read_table(source, getattr(source, "name", "<stream>"))
-
-
-def _read_table(handle, path: str) -> ScoreTable:
-    reader = csv.reader(handle)
     rows: list[ScoreRow] = []
     seen: set[str] = set()
-    width = len(SCORE_TABLE_HEADER)
-    with located(path, reader):
-        header = next(reader, None)
+    with csv_input(source) as (header, lines, _):
         if header is None or tuple(header) != SCORE_TABLE_HEADER:
             raise InputFormatError(
                 f"score table header must be {','.join(SCORE_TABLE_HEADER)}, got {header}",
                 line=1,
             )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise InputFormatError(f"expected {width} cells, got {len(row)}")
+        for row in lines:
             code = code_cell(row[0])
             if code in seen:
                 raise InputFormatError(f"duplicate code {code!r}")

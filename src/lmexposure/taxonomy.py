@@ -10,14 +10,12 @@ score computation while keeping the tree structurally complete.
 
 from __future__ import annotations
 
-import csv
-import functools
 import io
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import CODE_RE, ComputationError, InputFormatError, located, open_text
+from .errors import CODE_RE, ComputationError, InputFormatError, cells_at, csv_input
 
 
 class Level(IntEnum):
@@ -49,16 +47,12 @@ class MissingScoreError(ComputationError):
 
 
 class OccupationCode(NamedTuple):
-    """A validated classification code plus its derived level.
-
-    Immutable: ``parse`` hands one cached instance to every caller.
-    """
+    """A validated classification code plus its derived level."""
 
     raw: str
     level: Level
 
     @classmethod
-    @functools.lru_cache(maxsize=4096)  # a command meets one code in several files
     def parse(cls, raw: str) -> "OccupationCode":
         raw = raw.strip()
         if not CODE_RE.fullmatch(raw):
@@ -155,34 +149,19 @@ def load_taxonomy(source: str | Path | io.TextIOBase) -> Taxonomy:
     ``OrphanCodeError`` (each carrying the offending line number), or
     ``InputFormatError`` for header/flag problems.
     """
-    if isinstance(source, (str, Path)):
-        with open_text(source, newline="") as handle:
-            return _load(handle, str(source))
-    return _load(source, getattr(source, "name", None))
-
-
-def _load(handle: Iterable[str], path: str | None) -> Taxonomy:
-    reader = csv.reader(handle)
-    with located(path, reader):
-        header = next(reader, None)
-        columns = ("code", "title", "description", "excluded")
+    columns = ("code", "title", "description", "excluded")
+    with csv_input(source) as (header, rows, reader):
         if header is None or not set(columns).issubset(header):
             raise InputFormatError(
                 f"taxonomy header must contain {sorted(columns)}, got {header}", line=1
             )
-        width = len(header)
-        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last cell
-        at_code, at_title, at_description, at_excluded = (at[name] for name in columns)
+        at_code, at_title, at_description, at_excluded = cells_at(header, columns)
 
         index: dict[str, OccupationNode] = {}
         lines: dict[str, int] = {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise InputFormatError(f"expected {width} cells, got {len(row)}")
+        for row in rows:
             raw = row[at_code]
-            if CODE_RE.fullmatch(raw):  # a plain code: no strip, no cache
+            if CODE_RE.fullmatch(raw):  # a plain code: no strip
                 code = OccupationCode(raw, _LEVELS[raw.count("-")])
             else:
                 code = OccupationCode.parse(raw)

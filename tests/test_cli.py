@@ -471,6 +471,52 @@ def test_contour_grid_out_of_range_is_compute_error(tmp_path, capsys, grid, mess
     assert not out.exists()
 
 
+def _parameters(out: Path) -> dict:
+    return json.loads(Path(f"{out}.manifest.json").read_text())["parameters"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--scores", SCORES],
+        ["simulate", "--scenario", SCENARIO],
+        ["contour", "--scenario", SCENARIO],
+    ],
+)
+def test_manifest_records_full_precision(tmp_path, argv):
+    """Reports that differ at --full-precision differ in their parameters too."""
+    rounded, full = tmp_path / "rounded", tmp_path / "full"
+    assert main([*argv, "--out", str(rounded)]) == EXIT_OK
+    assert main([*argv, "--full-precision", "--out", str(full)]) == EXIT_OK
+    assert rounded.read_bytes() != full.read_bytes()
+    assert _parameters(rounded)["full_precision"] is False
+    assert {**_parameters(rounded), "full_precision": True} == _parameters(full)
+
+
+def test_contour_manifest_records_the_grids_as_given(tmp_path):
+    recorded = []
+    for delta in ("0,0.5", "0,0.6"):
+        out = tmp_path / f"contour{delta}.csv"
+        argv = ["contour", "--scenario", SCENARIO, "--delta-grid", delta, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        recorded.append(_parameters(out))
+    assert [r["delta_grid"] for r in recorded] == ["0,0.5", "0,0.6"]
+    assert recorded[0]["ratio_grid"] is None and recorded[0]["delta_points"] == 2
+
+
+def test_annotate_has_no_full_precision_option(tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "glm",
+            "--n-samples", "1", "--out", str(store)]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--full-precision"])
+    assert err.value.code == EXIT_CONFIG
+    assert "--full-precision" in capsys.readouterr().err
+    assert not store.exists()
+    assert main(argv) == EXIT_OK
+    assert "full_precision" not in _parameters(store)
+
+
 @pytest.mark.parametrize("command", ["simulate", "contour"])
 @pytest.mark.parametrize("rho", ["inf", "-inf", "nan"])
 def test_non_finite_rho_is_input_error(tmp_path, capsys, command, rho):
@@ -622,6 +668,33 @@ def test_validate_reports_non_utf8_input(tmp_path, capsys):
     # The taxonomy is also read once up front, to resolve scripted mock answers.
     assert main(["validate", "--taxonomy", str(bad), "--mock", MOCK]) == EXIT_INPUT
     assert f"taxonomy: {bad}: " in capsys.readouterr().out
+
+
+DEEP = "[" * 140_000  # past the csv field-size limit and the JSON recursion limit
+
+
+@pytest.mark.parametrize(
+    "option,text,where,message",
+    [
+        ("scores", "code,title,expert,glm,gpt4,internlm,ensemble\n2-01,T,,0.5,,," + DEEP + "\n",
+         ":2: ", "malformed CSV: field larger than field limit"),
+        ("outcomes", "code,vacancy_share\n2-01,1\n2-02," + DEEP + "\n",
+         ":3: ", "malformed CSV: field larger than field limit"),
+        ("scenario", DEEP, ": ", "invalid scenario JSON: maximum recursion depth exceeded"),
+        ("mock", DEEP, ": ", "invalid mock configuration JSON: maximum recursion depth exceeded"),
+        ("mock", "[1]", ": ", "mock configuration must be a JSON object"),
+        ("annotations", json.dumps(GOOD_RECORD) + "\n" + DEEP + "\n",
+         ":2: ", "bad annotation record: maximum recursion depth exceeded"),
+    ],
+    ids=["scores", "outcomes", "scenario", "mock", "mock_array", "annotations"],
+)
+def test_oversized_field_or_deep_json_exits_3_at_the_file(
+    tmp_path, capsys, option, text, where, message
+):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert main(["validate", f"--{option}", str(path)]) == EXIT_INPUT
+    assert f"{option}: {path}{where}{message}" in capsys.readouterr().out
 
 
 def test_non_utf8_input_is_input_error(tmp_path, capsys):

@@ -17,7 +17,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from lmexposure import aggregate, annotate, econ_model, labor_stats, scores, taxonomy
@@ -134,8 +134,10 @@ SIDE_FILES = {"demographics": INDUSTRY_SCORES}
 
 # A token is a run of text between delimiters of CSV, JSON or JSON lines.
 _SPLIT = re.compile(r'([\s,":\[\]{}]+)')
+# A CSV field past the csv module's size limit, and JSON nested past the recursion limit.
+DEEP = "[" * 140_000
 TOKENS = ["", "2-x", "2-01", "2", "nan", "inf", "-1", "0", "1.1", "0.5", "1e400", "abc",
-          "true", "null", '"', ",", "\n", "E9", "glm", "mystery"]
+          "true", "null", '"', ",", "\n", "E9", "glm", "mystery", DEEP]
 
 
 def _mutate(text: str, index: int, token: str) -> str:
@@ -156,7 +158,14 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, output.getvalue()
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+# Hypothesis's explain phase can run for minutes on a failure; generate and shrink do not.
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    phases=(Phase.explicit, Phase.generate, Phase.shrink),
+)
 @given(
     case=st.sampled_from(sorted(CASES)),
     index=st.integers(min_value=0, max_value=10_000),
@@ -178,6 +187,17 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @example(  # sector shares sum to 1.1
     case="scenario", index=_at("scenario", "0.09803892433247162"), token="0.19803892433247162"
 )
+@example(case="taxonomy", index=_at("taxonomy", "true"), token=DEEP)
+@example(case="scores", index=_at("scores", "0.4240"), token=DEEP)
+@example(case="expert", index=_at("expert", "0.4"), token=DEEP)
+@example(case="intensity", index=_at("intensity", "2-01"), token=DEEP)
+@example(case="industries", index=_at("industries", "1"), token=DEEP)
+@example(case="demographics", index=_at("demographics", "2"), token=DEEP)
+@example(case="industry_scores", index=_at("industry_scores", "0.5"), token=DEEP)
+@example(case="outcomes", index=_at("outcomes", "0.1"), token=DEEP)
+@example(case="annotations", index=0, token=DEEP)
+@example(case="scenario", index=0, token=DEEP)
+@example(case="mock", index=0, token=DEEP)
 def test_mutated_input_loads_or_names_the_file(case, index, token):
     seed, reader, validate_options, argv = CASES[case]
     with tempfile.TemporaryDirectory() as tmp:
