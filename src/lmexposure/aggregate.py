@@ -63,10 +63,24 @@ def _check_rows(matrix: list[list[float]], labels: list[str], what: str) -> None
 
 
 def _project(
-    matrix: list[list[float]], labels: list[str], scores: list[float]
+    matrix: list[list[float]],
+    labels: list[str],
+    columns: list[str],
+    scores: Mapping[str, float],
+    what: str,
 ) -> dict[str, float]:
-    """Each row's score-weighted sum, one ``math.fsum`` per row."""
-    return {k: math.fsum(map(operator.mul, row, scores)) for k, row in zip(labels, matrix)}
+    """Each row's score-weighted sum, one ``math.fsum`` per row.
+
+    Every column must have a score; a missing one raises
+    ``MissingExposureError`` naming the first few ``what``.
+    """
+    missing = [c for c in columns if c not in scores]
+    if missing:
+        raise MissingExposureError(
+            f"no exposure score for {what} {missing[:5]}" + ("..." if len(missing) > 5 else "")
+        )
+    weights = [scores[c] for c in columns]
+    return {k: math.fsum(map(operator.mul, row, weights)) for k, row in zip(labels, matrix)}
 
 
 class IntensityMatrix:
@@ -187,23 +201,13 @@ def industry_exposure(
     Every occupation column must have a score; each result is a convex
     combination, bounded by the occupational extremes.
     """
-    missing = [code for code in matrix.occupations if code not in r_occ]
-    if missing:
-        raise MissingExposureError(
-            f"no exposure score for occupation columns {missing[:5]}"
-            + ("..." if len(missing) > 5 else "")
-        )
-    return _project(matrix.beta, matrix.industries, [r_occ[code] for code in matrix.occupations])
+    return _project(
+        matrix.beta, matrix.industries, matrix.occupations, r_occ, "occupation columns"
+    )
 
 
 def demographic_exposure(
     shares: DemographicShares, r_ind: Mapping[str, float]
 ) -> dict[str, float]:
     """Project industry scores to age groups: d_a = sum_i w_ai * r_i."""
-    missing = [ind for ind in shares.industries if ind not in r_ind]
-    if missing:
-        raise MissingExposureError(
-            f"no exposure score for industries {missing[:5]}"
-            + ("..." if len(missing) > 5 else "")
-        )
-    return _project(shares.w, shares.age_groups, [r_ind[ind] for ind in shares.industries])
+    return _project(shares.w, shares.age_groups, shares.industries, r_ind, "industries")

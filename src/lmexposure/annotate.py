@@ -2,10 +2,11 @@
 
 A classifier client is anything with a ``complete(prompt_text, decode_config)``
 method returning response text and a ``capability`` attribute declaring
-itself ``"serial"`` or ``"concurrent"``. The harness renders one prompt per
-occupation, requests ``n_samples`` independent completions, parses each
-response into one of the four exposure categories, and retries unparseable
-or failed requests per sample before giving up on the whole run.
+itself ``"serial"`` or ``"concurrent"``; ``decode_config`` is an empty
+mapping today. The harness renders one prompt per occupation, requests
+``n_samples`` independent completions, parses each response into one of the
+four exposure categories, and retries unparseable or failed requests per
+sample before giving up on the whole run.
 
 Live model adapters are out-of-tree shims satisfying the same interface;
 this module ships only deterministic mock clients for reproducible runs.
@@ -19,7 +20,7 @@ import threading
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import ComputationError, InputFormatError, LmExposureError, json_object, located, open_text
 from .scores import MODEL_COLUMNS
@@ -33,10 +34,6 @@ class ExposureCategory(Enum):
     E1 = "E1"  # halving of completion time already feasible via plain text interfaces
     E2 = "E2"  # halving feasible with extra application work or domain tuning
     E3 = "E3"  # halving additionally requires image capabilities
-
-    @classmethod
-    def from_token(cls, token: str) -> "ExposureCategory":
-        return cls(token.upper())
 
 
 DEFAULT_RUBRIC = """Assign exactly one exposure category to the occupation:
@@ -52,7 +49,7 @@ DEFAULT_RUBRIC = """Assign exactly one exposure category to the occupation:
   top of text capabilities.
 """
 
-_PROMPT_TEMPLATE = """[language: {language_tag}]
+_PROMPT_TEMPLATE = """[language: zh]
 Occupation title: {title}
 Occupation description: {description}
 
@@ -76,27 +73,9 @@ class AnnotationError(ComputationError):
     """A sample could not be collected within its retry budget."""
 
 
-class RubricPrompt(NamedTuple):
-    """Deterministic prompt payload for one occupation."""
-
-    occupation_title: str
-    occupation_description: str
-    rubric_text: str
-    language_tag: str = "zh"
-
-    def text(self) -> str:
-        return _PROMPT_TEMPLATE.format(
-            language_tag=self.language_tag,
-            title=self.occupation_title,
-            description=self.occupation_description,
-            rubric=self.rubric_text,
-        )
-
-
-def render_prompt(
-    node: OccupationNode, rubric: str = DEFAULT_RUBRIC, language_tag: str = "zh"
-) -> RubricPrompt:
-    """Build the annotation prompt for one occupation node.
+def render_prompt(node: OccupationNode, rubric: str = DEFAULT_RUBRIC) -> str:
+    """The annotation prompt text for one occupation node; the same node and
+    rubric always give the same bytes.
 
     Occupations with empty descriptions cannot be asked about and raise
     ``EmptyDescriptionError``.
@@ -105,12 +84,7 @@ def render_prompt(
         raise EmptyDescriptionError(
             f"occupation {node.code.raw!r} has an empty description"
         )
-    return RubricPrompt(
-        occupation_title=node.title,
-        occupation_description=node.description,
-        rubric_text=rubric,
-        language_tag=language_tag,
-    )
+    return _PROMPT_TEMPLATE.format(title=node.title, description=node.description, rubric=rubric)
 
 
 _TOKEN_RE = re.compile(r"(?<![A-Za-z0-9])[eE][0-3](?![A-Za-z0-9])")
@@ -130,10 +104,9 @@ def parse_category(response: str) -> ExposureCategory:
         raise AmbiguousResponse(
             f"multiple exposure category tokens {sorted(tokens)} in response {response!r}"
         )
-    return ExposureCategory.from_token(tokens.pop())
+    return ExposureCategory(tokens.pop())
 
 
-@runtime_checkable
 class ClassifierClient(Protocol):
     """Minimal client surface: one completion call plus a concurrency flag."""
 
@@ -162,16 +135,13 @@ class AnnotationRun:
 
 
 def _collect_sample(
-    client: ClassifierClient,
-    prompt_text: str,
-    decode_config: Mapping[str, object],
-    max_retries: int,
+    client: ClassifierClient, prompt_text: str, max_retries: int
 ) -> tuple[ExposureCategory, str]:
     attempts = max_retries + 1
     last_error: Exception | None = None
     for _ in range(attempts):
         try:
-            raw = client.complete(prompt_text, decode_config)
+            raw = client.complete(prompt_text, {})
             return parse_category(raw), raw
         except Exception as exc:  # unparseable response or transport failure
             last_error = exc
@@ -186,11 +156,9 @@ def annotate_nodes(
     *,
     model_id: str,
     rubric: str = DEFAULT_RUBRIC,
-    language_tag: str = "zh",
     n_samples: int = 8,
     max_retries: int = 2,
     in_flight: int = 1,
-    decode_config: Mapping[str, object] | None = None,
 ) -> list[AnnotationRun]:
     """Collect ``n_samples`` parsed categories per occupation on one work queue.
 
@@ -206,11 +174,10 @@ def annotate_nodes(
     if in_flight < 1:
         raise ComputationError(f"in_flight must be >= 1, got {in_flight}")
     nodes = list(nodes)
-    prompts = [render_prompt(node, rubric, language_tag).text() for node in nodes]
-    config = dict(decode_config or {})
+    prompts = [render_prompt(node, rubric) for node in nodes]
     concurrent = getattr(client, "capability", "serial") == "concurrent"
     results = _run_queue(
-        lambda job: _collect_sample(client, prompts[job // n_samples], config, max_retries),
+        lambda job: _collect_sample(client, prompts[job // n_samples], max_retries),
         len(prompts) * n_samples,
         in_flight if concurrent else 1,
     )

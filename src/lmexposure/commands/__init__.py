@@ -16,13 +16,15 @@ from pathlib import Path
 from typing import Mapping
 
 from .. import runio
+from .. import scores as sc
 
 
 class RunConfig:
     """What a run consumed and produced, for the manifest.
 
     The command comes from ``args``, and so does ``full_precision`` where the
-    command has that option; a handler adds the other parameters it uses.
+    command has that option, and ``column`` where ``score_column`` reads
+    ``--scores``; a handler adds the other parameters it uses.
     """
 
     def __init__(self, args: argparse.Namespace, manifest: Path | None = None) -> None:
@@ -40,6 +42,16 @@ class RunConfig:
             raise FileNotFoundError(f"input file not found: {p}")
         self.inputs[role] = p
         return p
+
+    def score_column(self, args: argparse.Namespace) -> dict[str, float] | None:
+        """The ``--column`` of the ``--scores`` table, or None without ``--scores``.
+
+        The manifest records ``column`` wherever ``--scores`` is read here.
+        """
+        if not args.scores:
+            return None
+        self.parameters["column"] = args.column
+        return sc.read_score_table(self.add_input("scores", args.scores)).column(args.column)
 
     def write_manifest(self) -> None:
         primary = next(iter(self.outputs.values()))

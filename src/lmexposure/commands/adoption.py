@@ -17,10 +17,7 @@ def _scenario_inputs(args: argparse.Namespace, config: RunConfig):
     if args.rho is not None and not math.isfinite(args.rho):
         raise InputFormatError(f"--rho must be a finite number, got {args.rho}")
     config.parameters["rho"] = args.rho
-    r_occ = None
-    if args.scores:
-        config.parameters["column"] = args.column
-        r_occ = sc.read_score_table(config.add_input("scores", args.scores)).column(args.column)
+    r_occ = config.score_column(args)
     return econ.load_scenario(
         config.add_input("scenario", args.scenario), r_occ=r_occ, rho_override=args.rho
     )

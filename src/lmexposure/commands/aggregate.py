@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .. import scores as sc
-from ..errors import EXIT_OK
+from ..errors import EXIT_OK, InputFormatError
 from . import RunConfig
 
 if TYPE_CHECKING:  # hints only: each command imports the stage modules it runs
@@ -57,10 +57,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     from .. import taxonomy as tax
 
     config = RunConfig(args)
-    config.parameters["column"] = args.column
     taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
-    leaf_scores = sc.read_score_table(config.add_input("scores", args.scores)).column(args.column)
-    text = aggregated_csv(taxonomy, leaf_scores, args.full_precision)
+    text = aggregated_csv(taxonomy, config.score_column(args), args.full_precision)
     config.emit({"aggregated": (Path(args.out), text)})
     return EXIT_OK
 
@@ -69,12 +67,18 @@ def cmd_industry(args: argparse.Namespace) -> int:
     from .. import aggregate as agg
 
     config = RunConfig(args)
-    config.parameters["column"] = args.column
     matrix = agg.IntensityMatrix.from_csv(config.add_input("intensity", args.intensity))
-    r_occ = sc.read_score_table(config.add_input("scores", args.scores)).column(args.column)
+    r_occ = config.score_column(args)
     names = None
     if args.industries:
-        names = agg.read_industry_names(config.add_input("industries", args.industries))
+        path = config.add_input("industries", args.industries)
+        names = agg.read_industry_names(path)
+        missing = [ind for ind in matrix.industries if ind not in names]
+        if missing:
+            raise InputFormatError(
+                f"industry list lacks industries {missing[:5]} of the intensity matrix",
+                path=str(path),
+            )
     text = industry_csv(matrix, r_occ, args.full_precision, names)
     config.emit({"industry": (Path(args.out), text)})
     return EXIT_OK

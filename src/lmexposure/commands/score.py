@@ -6,11 +6,14 @@ import argparse
 from pathlib import Path
 
 from .. import scores as sc
-from ..errors import EXIT_OK
+from ..errors import EXIT_OK, ConfigError
 from . import RunConfig
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    for name in ("taxonomy", "expert"):
+        if args.scores and getattr(args, name):
+            raise ConfigError(f"--{name} applies to --annotations only, not --scores")
     config = RunConfig(args)
 
     if args.annotations:

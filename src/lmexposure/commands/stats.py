@@ -8,7 +8,7 @@ from pathlib import Path
 from .. import labor_stats as lstats
 from .. import runio
 from .. import scores as sc
-from ..errors import EXIT_OK
+from ..errors import EXIT_OK, ConfigError
 from . import RunConfig
 
 
@@ -43,6 +43,8 @@ def summary_payload(table: sc.ScoreTable) -> dict[str, object]:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    if args.plot_data and not args.outcomes:
+        raise ConfigError("--plot-data needs --outcomes: only a scatter report has plot data")
     config = RunConfig(args)
     table = sc.read_score_table(config.add_input("scores", args.scores))
     plot: dict[str, tuple[Path, str]] = {}
@@ -73,10 +75,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             plot["plot_data"] = (Path(args.plot_data), "\n".join(triples) + "\n")
     elif args.pair:
         a, b = args.pair
-        col_a = table.column(a)
-        col_b = table.column(b)
-        common = sorted(set(col_a) & set(col_b))
-        result = lstats.pearson([col_a[c] for c in common], [col_b[c] for c in common])
+        result = lstats.correlation_panel({a: table.column(a), b: table.column(b)})[(a, b)]
         payload = {"kind": "pair", "a": a, "b": b, **corr_payload(result)}
         config.parameters.update(mode="pair", a=a, b=b)
     else:

@@ -26,7 +26,7 @@ from .errors import (
 
 # p-value cutoffs, most demanding first. Convention: * p<0.05, ** p<0.01,
 # *** p<0.001, consistent with the published star assignments.
-DEFAULT_STAR_THRESHOLDS: tuple[tuple[float, str], ...] = (
+STAR_THRESHOLDS: tuple[tuple[float, str], ...] = (
     (0.001, "***"),
     (0.01, "**"),
     (0.05, "*"),
@@ -55,11 +55,8 @@ def summarize(series: Sequence[float]) -> SummaryEntry:
     return SummaryEntry(count=n, mean=mean, std=math.sqrt(var))
 
 
-def stars_for(
-    p_value: float,
-    thresholds: tuple[tuple[float, str], ...] = DEFAULT_STAR_THRESHOLDS,
-) -> str:
-    for cutoff, stars in sorted(thresholds):
+def stars_for(p_value: float) -> str:
+    for cutoff, stars in STAR_THRESHOLDS:
         if p_value < cutoff:
             return stars
     return ""
@@ -120,15 +117,11 @@ def _t_tail_p(t: float, df: int) -> float:
     return 1.0 - front * _beta_cf(b, a, y) / b
 
 
-def pearson(
-    x: Sequence[float],
-    y: Sequence[float],
-    thresholds: tuple[tuple[float, str], ...] = DEFAULT_STAR_THRESHOLDS,
-) -> CorrResult:
+def pearson(x: Sequence[float], y: Sequence[float]) -> CorrResult:
     """Pearson r with the exact two-sided t-test on n-2 degrees of freedom."""
     if len(x) != len(y):
         raise ComputationError(f"series lengths differ: {len(x)} vs {len(y)}")
-    return _correlate(_moments(x), _moments(y), thresholds)
+    return _correlate(_moments(x), _moments(y))
 
 
 def _moments(x: Sequence[float]) -> tuple[list[float], float]:
@@ -141,18 +134,14 @@ def _moments(x: Sequence[float]) -> tuple[list[float], float]:
     return deviations, sum([d**2 for d in deviations])
 
 
-def _correlate(
-    x: tuple[list[float], float],
-    y: tuple[list[float], float],
-    thresholds: tuple[tuple[float, str], ...],
-) -> CorrResult:
+def _correlate(x: tuple[list[float], float], y: tuple[list[float], float]) -> CorrResult:
     """``pearson`` from two series' ``_moments``."""
     (dx, sxx), (dy, syy) = x, y
     n = len(dx)
     if sxx == 0.0 or syy == 0.0:
         raise ConstantSeriesError("correlation undefined for a constant series")
     if x is y:  # a series with itself
-        return CorrResult(r=1.0, n=n, p_value=0.0, stars=stars_for(0.0, thresholds))
+        return CorrResult(r=1.0, n=n, p_value=0.0, stars=stars_for(0.0))
     sxy = sum([a * b for a, b in zip(dx, dy)])
     # The product of two tiny sums can underflow to 0 where their roots do not.
     r = sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
@@ -162,7 +151,7 @@ def _correlate(
     else:
         t = r * math.sqrt(n - 2) / math.sqrt(1.0 - r * r)
         p = _t_tail_p(t, n - 2)
-    return CorrResult(r=r, n=n, p_value=p, stars=stars_for(p, thresholds))
+    return CorrResult(r=r, n=n, p_value=p, stars=stars_for(p))
 
 
 class OutcomeKind(Enum):
@@ -268,7 +257,6 @@ def read_outcome_csv(source: str | Path) -> OutcomeSeries:
 
 def correlation_panel(
     columns: Mapping[str, Mapping[str, float]],
-    thresholds: tuple[tuple[float, str], ...] = DEFAULT_STAR_THRESHOLDS,
 ) -> dict[tuple[str, str], CorrResult]:
     """All pairwise correlations between named code-keyed columns.
 
@@ -289,12 +277,12 @@ def correlation_panel(
     for i, a in enumerate(names):
         for b in names[i:]:
             if codes[a] == codes[b]:  # the common case: both columns cover the same codes
-                result = _correlate(_column(a), _column(b), thresholds)
+                result = _correlate(_column(a), _column(b))
             else:
                 common = [c for c in codes[a] if c in columns[b]]
                 xs = [columns[a][c] for c in common]
                 ys = [columns[b][c] for c in common]
-                result = pearson(xs, ys, thresholds)
+                result = pearson(xs, ys)
             panel[(a, b)] = result
             panel[(b, a)] = result
     return panel

@@ -44,17 +44,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 _NEVER_ROUND = {"p_value"}
 
 
-def round_floats(value, digits: int = 4):
-    """Recursively round floats for presentation-layer JSON exports."""
+def round_floats(value):
+    """Recursively round floats to 4 decimals for presentation-layer JSON exports."""
     if isinstance(value, float):
-        return round(value, digits)
+        return round(value, 4)
     if isinstance(value, dict):
-        return {
-            k: v if k in _NEVER_ROUND else round_floats(v, digits)
-            for k, v in value.items()
-        }
+        return {k: v if k in _NEVER_ROUND else round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [round_floats(v, digits) for v in value]
+        return [round_floats(v) for v in value]
     return value
 
 

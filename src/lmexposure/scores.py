@@ -227,8 +227,8 @@ def recompute_ensemble(table: ScoreTable) -> ScoreTable:
     for row in table.rows:
         scores = row.scores.copy()
         scores.pop("ensemble", None)
-        models = [v for name, v in scores.items() if name in MODEL_COLUMNS]
+        models = {name: v for name, v in scores.items() if name in MODEL_COLUMNS}
         if models:
-            scores["ensemble"] = sum(models) / len(models)  # as ``ensemble``
+            scores["ensemble"] = ensemble(models)
         rows.append(ScoreRow(code=row.code, title=row.title, scores=scores))
     return ScoreTable(rows=rows)

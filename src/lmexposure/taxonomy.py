@@ -127,10 +127,8 @@ class Taxonomy:
             if n.code.level == level and (include_excluded or not n.excluded)
         ]
 
-    def leaves(self, include_excluded: bool = False) -> list[OccupationNode]:
-        return [
-            n for n in self.walk() if n.is_leaf and (include_excluded or not n.excluded)
-        ]
+    def leaves(self) -> list[OccupationNode]:
+        return [n for n in self.walk() if n.is_leaf and not n.excluded]
 
 
 # Excluded-flag cells, lower-cased and stripped.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import sys
@@ -48,7 +49,7 @@ def _node(title="Teachers", description="Prepares and delivers lessons."):
 def test_prompt_contains_each_part_once():
     node = _node()
     rubric = "RUBRIC-BODY-MARKER"
-    text = render_prompt(node, rubric).text()
+    text = render_prompt(node, rubric)
     assert text.count("Teachers") == 1
     assert text.count("Prepares and delivers lessons.") == 1
     assert text.count("RUBRIC-BODY-MARKER") == 1
@@ -57,7 +58,14 @@ def test_prompt_contains_each_part_once():
 
 def test_prompt_is_deterministic():
     node = _node()
-    assert render_prompt(node).text() == render_prompt(node).text()
+    assert render_prompt(node) == render_prompt(node)
+
+
+def test_prompt_bytes_are_pinned():
+    # perfbench's latency shim keys its answers and latencies on the prompt's
+    # SHA-256, so an edit to the template or the default rubric must be deliberate.
+    digest = hashlib.sha256(render_prompt(_node()).encode("utf-8")).hexdigest()
+    assert digest == "6a3e609c03f6b4aa26c0510c4f38458208f92d01eb0b0d99c36fb06aa18d048c"
 
 
 def test_empty_description_refused():

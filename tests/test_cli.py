@@ -113,6 +113,38 @@ def test_stats_summary(tmp_path):
             assert unordered[frozenset((a, b))]["n"] == 63
 
 
+# Both columns cover the same codes, or the expert column has empty cells:
+# the two branches of ``correlation_panel``.
+@pytest.mark.parametrize("a, b, n", [("glm", "internlm", 63), ("expert", "gpt4", 42)])
+def test_stats_pair_equals_the_summary_entry(tmp_path, a, b, n):
+    lines = Path(SCORES).read_text().splitlines()
+    for i in range(1, len(lines), 3):  # blank every third expert cell
+        cells = lines[i].split(",")
+        cells[-5] = ""
+        lines[i] = ",".join(cells)
+    scores = tmp_path / "scores.csv"
+    scores.write_text("\n".join(lines) + "\n")
+    pair, summary = tmp_path / "pair.json", tmp_path / "summary.json"
+    base = ["stats", "--scores", str(scores), "--full-precision"]
+    assert main([*base, "--pair", a, b, "--out", str(pair)]) == EXIT_OK
+    assert main([*base, "--out", str(summary)]) == EXIT_OK
+    report = json.loads(pair.read_text())
+    entries = json.loads(summary.read_text())["correlations"]
+    entry = next(c for c in entries if (c["a"], c["b"]) == (a, b))
+    assert report["n"] == n
+    assert {k: report[k] for k in ("r", "n", "p_value", "stars")} == {
+        k: entry[k] for k in ("r", "n", "p_value", "stars")
+    }
+
+
+def test_stats_pair_of_a_column_with_itself(tmp_path):
+    out = tmp_path / "pair.json"
+    argv = ["stats", "--scores", SCORES, "--pair", "glm", "glm", "--full-precision"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert (report["r"], report["p_value"], report["stars"]) == (1.0, 0.0, "***")
+
+
 def test_stats_scatter_with_plot_data(tmp_path):
     outcome = tmp_path / "salary.csv"
     rows = ["code,salary"]
@@ -161,6 +193,27 @@ def test_stats_pair_unknown_column_exits_two(tmp_path, capsys):
         main(["stats", "--scores", SCORES, "--pair", "glm", "nonexistent", "--out", out])
     assert err.value.code == EXIT_CONFIG
     assert "nonexistent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["score", "--expert", "/nonexistent"], "--expert applies to --annotations only"),
+        (["score", "--taxonomy", "/nonexistent"], "--taxonomy applies to --annotations only"),
+        (["score", "--expert", "/x", "--taxonomy", "/y"], "--taxonomy applies to --annotations"),
+        (["stats", "--plot-data", "PLOT"], "--plot-data needs --outcomes"),
+    ],
+)
+def test_options_that_change_nothing_exit_2_before_any_file_is_read(
+    tmp_path, capsys, argv, message
+):
+    out, plot = tmp_path / "out", tmp_path / "plot.csv"
+    missing = tmp_path / "missing.csv"  # never read: the options are checked first
+    argv = [argv[0], "--scores", str(missing), *argv[1:], "--out", str(out)]
+    assert main([str(plot) if a == "PLOT" else a for a in argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and "not found" not in err
+    assert not out.exists() and not plot.exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -318,6 +371,17 @@ def test_industry_list_row_without_name_exits_3(tmp_path, capsys):
     argv = ["industry", "--intensity", INTENSITY, "--scores", SCORES, "--industries", str(names)]
     assert main([*argv, "--out", str(out)]) == EXIT_INPUT
     assert f"{names}:3: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_industry_list_lacking_an_industry_of_the_matrix_exits_3(tmp_path, capsys):
+    names = tmp_path / "industries.csv"
+    names.write_text("industry_id,name\n1,Mining\n2,Energy\n5,Trade\n")
+    out = tmp_path / "out.csv"
+    argv = ["industry", "--intensity", INTENSITY, "--scores", SCORES, "--industries", str(names)]
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{names}: industry list lacks industries ['3', '4', '6', '7', '8'] of the" in err
     assert not out.exists()
 
 

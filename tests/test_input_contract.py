@@ -181,6 +181,7 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @example(case="outcomes", index=_at("outcomes", "0.1"), token="0.2")  # shares sum to 1.1
 @example(case="expert", index=_at("expert", "0.4"), token="0.4,0.9")  # a cell too many
 @example(case="industries", index=_at("industries", "1"), token="1,extra")  # a cell too many
+@example(case="industries", index=_at("industries", "5"), token="mystery")  # no row for industry 5
 @example(case="industry_scores", index=_at("industry_scores", "0.5"), token="0.5,0.9")
 @example(case="intensity", index=_at("intensity", "2-02"), token="2-01")  # column twice
 @example(case="demographics", index=_at("demographics", "2"), token="1")  # column twice

@@ -190,11 +190,6 @@ def test_star_assignment_is_monotone():
     assert stars_for(0.0099) == "**" and stars_for(0.0009) == "***"
 
 
-def test_custom_thresholds():
-    loose = ((0.1, "*"),)
-    assert pearson([1, 2, 3, 4], [1.1, 2.2, 2.9, 4.4], thresholds=loose).stars == "*"
-
-
 def test_correlation_panel_symmetric_unit_diagonal(score_table):
     columns = {name: score_table.column(name) for name in ("glm", "gpt4", "internlm")}
     panel = correlation_panel(columns)
