@@ -8,9 +8,10 @@ manifest with parameter values and content digests next to its primary
 output. Exit codes: 0 success, 2 configuration problem, 3 input-format
 problem, 4 computation problem.
 
-This module holds the parser and the exit-code mapping only. The handlers
-live in ``lmexposure/commands/``, one module per command group, and ``main``
-imports just the module of the command it runs.
+This module holds the parser, with every rule on which options go together,
+and the exit-code mapping only. The handlers live in ``lmexposure/commands/``,
+one module per command group, and ``main`` imports just the module of the
+command it runs, once the options have passed those rules.
 """
 
 from __future__ import annotations
@@ -106,10 +107,11 @@ def _demographic_arguments(p: argparse.ArgumentParser) -> None:
 
 def _stats_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scores", required=True)
-    p.add_argument(
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
         "--pair", nargs=2, metavar=("A", "B"), choices=sc.SCORE_COLUMNS, help="correlate two columns"
     )
-    p.add_argument("--outcomes", help="outcome CSV (code,<kind>) for a scatter report")
+    mode.add_argument("--outcomes", help="outcome CSV (code,<kind>) for a scatter report")
     p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
     p.add_argument("--plot-data", help="also write (x,y,label) triples to this path")
     _add_common(p)
@@ -174,10 +176,25 @@ _COMMANDS = {
 }
 
 
+# (command, option) -> (the option it needs, why): without the option it
+# needs, the option would change nothing, so ``main`` refuses it with exit 2
+# before any file is read. An option counts as given when its value differs
+# from the parser's default. Modes that exclude each other are argparse groups.
+_NEEDS = {
+    ("score", "--taxonomy"): ("--annotations", "applies to --annotations only, not --scores"),
+    ("score", "--expert"): ("--annotations", "applies to --annotations only, not --scores"),
+    ("stats", "--plot-data"): ("--outcomes", "needs --outcomes: only a scatter report has plot data"),
+    ("stats", "--column"): ("--outcomes", "needs --outcomes: only a scatter report reads one column"),
+    ("simulate", "--column"): ("--scores", "needs --scores: it names the column of --scores to read"),
+    ("contour", "--column"): ("--scores", "needs --scores: it names the column of --scores to read"),
+}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of ``command`` alone, or of every command if it names none.
 
     Each command's ``handler`` names its module in ``commands`` and its function.
+    ``get_default("command_parsers")`` maps each command to its own parser.
     """
     parser = argparse.ArgumentParser(
         prog="lmexposure",
@@ -192,16 +209,27 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command in _COMMANDS and name != command:
             continue
         add_arguments(sub.add_parser(name, help=help_text))
+    parser.set_defaults(command_parsers=sub.choices)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
-    module_name, handler_name = args.handler
-    handler = getattr(importlib.import_module(f".commands.{module_name}", __package__), handler_name)
+    parser = build_parser(argv[0] if argv else None)
+    args = parser.parse_args(argv)
+    default = parser.get_default("command_parsers")[args.command].get_default
+
+    def given(option: str) -> bool:
+        dest = option[2:].replace("-", "_")
+        return getattr(args, dest) != default(dest)
+
     try:
-        return handler(args)
+        for (command, option), (needed, reason) in _NEEDS.items():
+            if command == args.command and given(option) and not given(needed):
+                raise ConfigError(f"{option} {reason}")
+        module_name, handler_name = args.handler
+        module = importlib.import_module(f".commands.{module_name}", __package__)
+        return getattr(module, handler_name)(args)
     except (FileNotFoundError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

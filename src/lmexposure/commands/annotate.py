@@ -11,7 +11,7 @@ from pathlib import Path
 from .. import annotate as ann
 from .. import scores as sc
 from .. import taxonomy as tax
-from ..errors import EXIT_CONFIG, EXIT_OK, ComputationError, InputFormatError, open_text
+from ..errors import EXIT_OK, ComputationError, ConfigError, InputFormatError, open_text
 from ..runio import CLIENT_ENV_VAR
 from . import RunConfig
 
@@ -42,10 +42,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         (args.in_flight < 1, f"--in-flight must be at least 1, got {args.in_flight}"),
         (not model_ids, f"--models names no model: {args.models!r}"),
         (unknown, f"--models {unknown} have no score column; use {list(sc.MODEL_COLUMNS)}"),
+        (len(set(model_ids)) < len(model_ids), f"--models repeats a model: {args.models!r}"),
     ):
         if failed:
-            print(f"error: {message}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(message)
     config = RunConfig(args)
     taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
     rubric = ann.DEFAULT_RUBRIC

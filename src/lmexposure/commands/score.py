@@ -6,14 +6,11 @@ import argparse
 from pathlib import Path
 
 from .. import scores as sc
-from ..errors import EXIT_OK, ConfigError
+from ..errors import EXIT_OK
 from . import RunConfig
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    for name in ("taxonomy", "expert"):
-        if args.scores and getattr(args, name):
-            raise ConfigError(f"--{name} applies to --annotations only, not --scores")
     config = RunConfig(args)
 
     if args.annotations:

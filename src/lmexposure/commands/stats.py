@@ -8,7 +8,7 @@ from pathlib import Path
 from .. import labor_stats as lstats
 from .. import runio
 from .. import scores as sc
-from ..errors import EXIT_OK, ConfigError
+from ..errors import EXIT_OK
 from . import RunConfig
 
 
@@ -43,8 +43,6 @@ def summary_payload(table: sc.ScoreTable) -> dict[str, object]:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if args.plot_data and not args.outcomes:
-        raise ConfigError("--plot-data needs --outcomes: only a scatter report has plot data")
     config = RunConfig(args)
     table = sc.read_score_table(config.add_input("scores", args.scores))
     plot: dict[str, tuple[Path, str]] = {}

@@ -288,7 +288,7 @@ def load_scenario(
     by kappa * exposure; that mapping is a modeling convenience with no
     empirical grounding and must be opted into explicitly. ``rho_override``
     replaces the rho of an exponential law; on a tabulated law it raises
-    ``ConfigError``.
+    ``ConfigError``, and so does ``r_occ`` where no exposure comes from a mix.
     """
     config = json_object(source, "scenario")
     with located(source):
@@ -331,6 +331,7 @@ def load_scenario(
             raise InputFormatError("every sector needs either a share or a baseline_output")
 
         sectors: list[Sector] = []
+        mixed = False  # whether any exposure comes from an occupation mix
         for spec, share in zip(raw_sectors, shares):
             sector_id = str(spec.get("id", len(sectors) + 1))
             if "exposure" in spec:
@@ -357,6 +358,7 @@ def load_scenario(
                         f"{missing[:5]}"
                     )
                 exposure = sum(w * r_occ[c] for c, w in mix.items())
+                mixed = True
             else:
                 raise InputFormatError(
                     f"sector {sector_id!r} needs an exposure or an occupation_mix"
@@ -371,7 +373,12 @@ def load_scenario(
                 Sector(id=sector_id, output_share=share, damage_ratio=delta, exposure=exposure)
             )
         check_share_sum(sectors)
-    # A command-line rho is not the file's: its errors name no path.
+    # Command-line options are not the file's: their errors name no path.
+    if r_occ is not None and not mixed:
+        raise ConfigError(
+            f"--scores applies to occupation mixes only; scenario {source} takes no "
+            "sector's exposure from one"
+        )
     if rho_override is not None:
         if not isinstance(law, ExponentialGrowth):
             raise ConfigError(

@@ -195,13 +195,33 @@ def test_stats_pair_unknown_column_exits_two(tmp_path, capsys):
     assert "nonexistent" in capsys.readouterr().err
 
 
+NO_SCORES = ["--scores", "MISSING"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["score", "--expert", "/nonexistent"], "--expert applies to --annotations only"),
-        (["score", "--taxonomy", "/nonexistent"], "--taxonomy applies to --annotations only"),
-        (["score", "--expert", "/x", "--taxonomy", "/y"], "--taxonomy applies to --annotations"),
-        (["stats", "--plot-data", "PLOT"], "--plot-data needs --outcomes"),
+        (["score", *NO_SCORES, "--expert", "/nonexistent"], "--expert applies to --annotations only"),
+        (
+            ["score", *NO_SCORES, "--taxonomy", "/nonexistent"],
+            "--taxonomy applies to --annotations only",
+        ),
+        (
+            ["score", *NO_SCORES, "--expert", "/x", "--taxonomy", "/y"],
+            "--taxonomy applies to --annotations",
+        ),
+        (["stats", *NO_SCORES, "--plot-data", "PLOT"], "--plot-data needs --outcomes"),
+        (["stats", *NO_SCORES, "--column", "glm"], "--column needs --outcomes"),
+        (
+            ["stats", *NO_SCORES, "--pair", "glm", "gpt4", "--column", "expert"],
+            "--column needs --outcomes",
+        ),
+        (
+            ["stats", *NO_SCORES, "--pair", "glm", "gpt4", "--outcomes", "MISSING"],
+            "not allowed with argument --pair",
+        ),
+        (["simulate", "--scenario", "MISSING", "--column", "glm"], "--column needs --scores"),
+        (["contour", "--scenario", "MISSING", "--column", "glm"], "--column needs --scores"),
     ],
 )
 def test_options_that_change_nothing_exit_2_before_any_file_is_read(
@@ -209,8 +229,13 @@ def test_options_that_change_nothing_exit_2_before_any_file_is_read(
 ):
     out, plot = tmp_path / "out", tmp_path / "plot.csv"
     missing = tmp_path / "missing.csv"  # never read: the options are checked first
-    argv = [argv[0], "--scores", str(missing), *argv[1:], "--out", str(out)]
-    assert main([str(plot) if a == "PLOT" else a for a in argv]) == EXIT_CONFIG
+    paths = {"PLOT": str(plot), "MISSING": str(missing)}
+    argv = [paths.get(a, a) for a in [*argv, "--out", str(out)]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # modes that exclude each other are refused by argparse
+        code = exc.code
+    assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert message in err and "not found" not in err
     assert not out.exists() and not plot.exists()
@@ -1045,6 +1070,7 @@ def test_fixed_seed_runs_are_byte_identical(tmp_path):
         ("--in-flight", "-3", "--in-flight"),
         ("--models", ",", "--models"),
         ("--models", "glm,gpt5", "gpt5"),
+        ("--models", "glm,glm", "--models repeats a model"),
     ],
 )
 def test_annotate_rejects_bad_options_before_building_a_client(

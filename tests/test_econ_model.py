@@ -497,6 +497,19 @@ def test_rho_override(tmp_path):
     assert law.rho == 3.0
 
 
+def test_scores_on_a_scenario_without_occupation_mix_are_refused(tmp_path):
+    exposed = {"id": "a", "share": 1.0, "exposure": 0.4, "delta": 0.1}
+    # An exposure takes precedence over a mix, so the mix reads no score.
+    both = {**exposed, "occupation_mix": {"2-01": 1.0}}
+    for name, sector in (("exposure", exposed), ("both", both)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"sectors": [sector]}))
+        with pytest.raises(ConfigError, match="--scores applies to occupation mixes only"):
+            load_scenario(path, r_occ={"2-01": 0.5})
+        sectors, _ = load_scenario(path)
+        assert sectors[0].exposure == 0.4
+
+
 def test_rho_override_on_a_tabulated_law_is_refused(tmp_path):
     path = tmp_path / "scenario.json"
     law = {"kind": "tabulated", "points": [[0.0, 1.0], [1.0, 2.0]]}
