@@ -22,8 +22,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
+from . import MODEL_COLUMNS
 from .errors import ComputationError, InputFormatError, LmExposureError, json_object, located, open_text
-from .scores import MODEL_COLUMNS
 from .taxonomy import OccupationCode, OccupationNode, Taxonomy
 
 

@@ -21,9 +21,10 @@ import importlib
 import sys
 
 # Only what every command needs is imported here: the score columns name the
-# --column choices. Each handler module imports the stage modules it runs.
-# The exit codes and CLIENT_ENV_VAR are re-exported for callers of ``main``.
-from . import scores as sc
+# --column choices, and come from the package, not from ``scores``. Each
+# handler module imports the stage modules it runs. The exit codes and
+# CLIENT_ENV_VAR are re-exported for callers of ``main``.
+from . import SCORE_COLUMNS
 from .errors import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -84,7 +85,7 @@ def _score_arguments(p: argparse.ArgumentParser) -> None:
 def _aggregate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--scores", required=True, help="score table supplying leaf scores")
-    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     _add_common(p)
     p.set_defaults(handler=("aggregate", "cmd_aggregate"))
 
@@ -92,7 +93,7 @@ def _aggregate_arguments(p: argparse.ArgumentParser) -> None:
 def _industry_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--intensity", required=True, help="industry x occupation share matrix CSV")
     p.add_argument("--scores", required=True)
-    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     p.add_argument("--industries", help="optional industry id/name list for labeling")
     _add_common(p)
     p.set_defaults(handler=("aggregate", "cmd_industry"))
@@ -109,10 +110,10 @@ def _stats_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scores", required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument(
-        "--pair", nargs=2, metavar=("A", "B"), choices=sc.SCORE_COLUMNS, help="correlate two columns"
+        "--pair", nargs=2, metavar=("A", "B"), choices=SCORE_COLUMNS, help="correlate two columns"
     )
     mode.add_argument("--outcomes", help="outcome CSV (code,<kind>) for a scatter report")
-    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     p.add_argument("--plot-data", help="also write (x,y,label) triples to this path")
     _add_common(p)
     p.set_defaults(handler=("stats", "cmd_stats"))
@@ -121,7 +122,7 @@ def _stats_arguments(p: argparse.ArgumentParser) -> None:
 def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, help="scenario JSON")
     p.add_argument("--scores", help="score table for occupation-mix exposures")
-    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     p.add_argument("--rho", type=float, default=None, help="override the exponential law rho")
     _add_common(p)
     p.set_defaults(handler=("adoption", "cmd_simulate"))
@@ -130,7 +131,7 @@ def _simulate_arguments(p: argparse.ArgumentParser) -> None:
 def _contour_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True)
     p.add_argument("--scores", help="score table for occupation-mix exposures")
-    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--delta-grid", help="lo:hi:n or comma list (default 0:0.95:21)")
     p.add_argument("--ratio-grid", help="lo:hi:n or comma list (default 0:1:21)")
@@ -155,7 +156,7 @@ def _pipeline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scores", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--intensity", required=True)
-    p.add_argument("--column", default="ensemble", choices=sc.SCORE_COLUMNS)
+    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     p.add_argument("--outdir", required=True, help="directory for the four output files")
     p.add_argument("--full-precision", action="store_true")
     p.set_defaults(handler=("pipeline", "cmd_pipeline"))

@@ -3,7 +3,7 @@
 A handler takes the parsed ``argparse.Namespace`` and returns an exit code.
 No module here imports ``lmexposure.cli``: under ``python -m lmexposure.cli``
 the running module is ``__main__``, so that import would run ``cli.py`` again.
-Stage functions are called through their module (``sc.format_score``), not
+Stage functions are called through their module (``runio.format_score``), not
 imported by name, so that ``perfbench/tracer.py``, which replaces module
 attributes, sees each call. For the same reason ``RunConfig`` lives here and
 not in ``runio``: its writes then show as ``runio`` calls of their own.
@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Mapping
 
 from .. import runio
-from .. import scores as sc
 
 
 class RunConfig:
@@ -47,9 +46,13 @@ class RunConfig:
         """The ``--column`` of the ``--scores`` table, or None without ``--scores``.
 
         The manifest records ``column`` wherever ``--scores`` is read here.
+        ``scores`` is imported only then, so a command without a table never
+        compiles it.
         """
         if not args.scores:
             return None
+        from .. import scores as sc
+
         self.parameters["column"] = args.column
         return sc.read_score_table(self.add_input("scores", args.scores)).column(args.column)
 

@@ -8,7 +8,6 @@ from pathlib import Path
 
 from .. import econ_model as econ
 from .. import runio
-from .. import scores as sc
 from ..errors import EXIT_OK, InputFormatError
 from . import RunConfig
 
@@ -91,14 +90,14 @@ def cmd_contour(args: argparse.Namespace) -> int:
     grid = econ.contour_grid(sectors, law, delta_grid, ratio_grid)
 
     header = "delta\\ratio," + ",".join(
-        sc.format_score(r, args.full_precision) for r in grid.ratio_grid
+        runio.format_score(r, args.full_precision) for r in grid.ratio_grid
     )
     lines = [header]
     for delta, row in zip(grid.delta_grid, grid.values):
         lines.append(
-            sc.format_score(delta, args.full_precision)
+            runio.format_score(delta, args.full_precision)
             + ","
-            + ",".join(sc.format_score(v, args.full_precision) for v in row)
+            + ",".join(runio.format_score(v, args.full_precision) for v in row)
         )
     config.parameters.update(
         delta_grid=args.delta_grid,

@@ -6,7 +6,7 @@ import argparse
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .. import scores as sc
+from .. import runio
 from ..errors import EXIT_OK, InputFormatError
 from . import RunConfig
 
@@ -29,7 +29,7 @@ def aggregated_csv(
             title = '"' + node.title.replace('"', '""') + '"'
             lines.append(
                 f"{raw},{title},{level_names[node.code.level - 1]},"
-                f"{sc.format_score(rolled[raw], full_precision)}"
+                f"{runio.format_score(rolled[raw], full_precision)}"
             )
     return "\n".join(lines) + "\n"
 
@@ -48,7 +48,7 @@ def industry_csv(
         cells = [ind]
         if names:
             cells.append('"' + names.get(ind, "").replace('"', '""') + '"')
-        cells.append(sc.format_score(result[ind], full_precision))
+        cells.append(runio.format_score(result[ind], full_precision))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -95,6 +95,6 @@ def cmd_demographic(args: argparse.Namespace) -> int:
     result = agg.demographic_exposure(shares, r_ind)
     lines = ["age_group,score"]
     for group in shares.age_groups:
-        lines.append(f"{group},{sc.format_score(result[group], args.full_precision)}")
+        lines.append(f"{group},{runio.format_score(result[group], args.full_precision)}")
     config.emit({"demographic": (Path(args.out), "\n".join(lines) + "\n")})
     return EXIT_OK

@@ -8,8 +8,8 @@ import os
 import sys
 from pathlib import Path
 
+from .. import MODEL_COLUMNS
 from .. import annotate as ann
-from .. import scores as sc
 from .. import taxonomy as tax
 from ..errors import EXIT_OK, ComputationError, ConfigError, InputFormatError, open_text
 from ..runio import CLIENT_ENV_VAR
@@ -32,7 +32,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     live_spec = os.environ.get(CLIENT_ENV_VAR)
     model_ids = [m.strip() for m in args.models.split(",") if m.strip()]
-    unknown = [m for m in model_ids if m not in sc.MODEL_COLUMNS]
+    unknown = [m for m in model_ids if m not in MODEL_COLUMNS]
     # Checked before any client is built, so a bad option costs no annotation.
     for failed, message in (
         (out.exists(), f"annotation store {out} already exists; pass a new --out"),
@@ -41,7 +41,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         (args.max_retries < 0, f"--max-retries must be at least 0, got {args.max_retries}"),
         (args.in_flight < 1, f"--in-flight must be at least 1, got {args.in_flight}"),
         (not model_ids, f"--models names no model: {args.models!r}"),
-        (unknown, f"--models {unknown} have no score column; use {list(sc.MODEL_COLUMNS)}"),
+        (unknown, f"--models {unknown} have no score column; use {list(MODEL_COLUMNS)}"),
         (len(set(model_ids)) < len(model_ids), f"--models repeats a model: {args.models!r}"),
     ):
         if failed:

@@ -68,8 +68,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if args.plot_data:
             triples = ["x,y,label"]
             for code, _, x, y in report.rows:
-                x_text = sc.format_score(x, args.full_precision)
-                triples.append(f"{x_text},{sc.format_score(y, args.full_precision)},{code}")
+                x_text = runio.format_score(x, args.full_precision)
+                triples.append(f"{x_text},{runio.format_score(y, args.full_precision)},{code}")
             plot["plot_data"] = (Path(args.plot_data), "\n".join(triples) + "\n")
     elif args.pair:
         a, b = args.pair

@@ -7,7 +7,7 @@ import importlib
 from operator import attrgetter
 from pathlib import Path
 
-from ..errors import EXIT_INPUT, EXIT_OK, LmExposureError
+from ..errors import EXIT_INPUT, EXIT_OK, ConfigError, LmExposureError
 
 # option -> (stage module, its loader). Only the modules of given options load.
 _LOADERS = {
@@ -23,10 +23,26 @@ _LOADERS = {
 }
 
 
+def _check_scenario(load_scenario, path: str, table) -> None:
+    """Check a scenario alone, or its occupation mixes against ``--scores``.
+
+    A mix reads the table's ``ensemble`` column, as ``simulate`` does by
+    default. ``load_scenario`` raises ``ConfigError`` for a table only once
+    the whole file has passed, where no sector takes its exposure from a mix.
+    """
+    if table is None:
+        load_scenario(path)
+        return
+    try:
+        load_scenario(path, r_occ=table.column("ensemble"))
+    except ConfigError:
+        pass
+
+
 def validate_inputs(args: argparse.Namespace) -> list[str]:
     """Dry-run schema and invariant checks; diagnostics, never exceptions."""
     diagnostics: list[str] = []
-    taxonomy = None
+    loaded: dict[str, object] = {}
     for option, (module, loader) in _LOADERS.items():
         path = getattr(args, option)
         if path is None:
@@ -36,12 +52,14 @@ def validate_inputs(args: argparse.Namespace) -> list[str]:
             continue
         load = attrgetter(loader)(importlib.import_module(f"..{module}", __package__))
         try:
-            loaded = load(path, taxonomy) if option == "mock" else load(path)
+            if option == "mock":
+                loaded[option] = load(path, loaded.get("taxonomy"))
+            elif option == "scenario":
+                _check_scenario(load, path, loaded.get("scores"))
+            else:
+                loaded[option] = load(path)
         except LmExposureError as exc:
             diagnostics.append(f"{option}: {exc}")
-            continue
-        if option == "taxonomy":
-            taxonomy = loaded
     return diagnostics
 
 

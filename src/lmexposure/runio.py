@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
 from typing import Mapping
 
+# ``import hashlib`` loads OpenSSL, which costs a command more start-up than
+# hashing its few-KB files takes, so digests go through CPython's built-in
+# SHA-256 (as ``random`` does for SHA-512); hashlib only where it is missing.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 
 def sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
+    digest = _sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
@@ -53,6 +63,13 @@ def round_floats(value):
     if isinstance(value, (list, tuple)):
         return [round_floats(v) for v in value]
     return value
+
+
+def format_score(value: float | None, full_precision: bool = False) -> str:
+    """One CSV cell: 4 decimals, ``repr`` at full precision, empty for None."""
+    if value is None:
+        return ""
+    return repr(value) if full_precision else f"{value:.4f}"
 
 
 def dump_json(payload, full_precision: bool = False) -> str:

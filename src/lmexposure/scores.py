@@ -18,6 +18,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from . import MODEL_COLUMNS, SCORE_COLUMNS
 from .errors import (
     ComputationError,
     InputFormatError,
@@ -26,6 +27,7 @@ from .errors import (
     csv_input,
     parse_finite,
 )
+from .runio import format_score
 
 if TYPE_CHECKING:  # hints only: importing scores must not load annotate
     from .annotate import AnnotationRun, ExposureCategory
@@ -33,9 +35,7 @@ if TYPE_CHECKING:  # hints only: importing scores must not load annotate
 # Keyed by the category token, ``ExposureCategory.value``.
 POINT_VALUES: dict[str, float] = {"E0": 0.0, "E1": 1.0, "E2": 0.5, "E3": 0.5}
 
-# Column order of the canonical score table file.
-MODEL_COLUMNS = ("glm", "gpt4", "internlm")
-SCORE_COLUMNS = ("expert", *MODEL_COLUMNS, "ensemble")
+# The canonical score table file's header; the column names are the package's.
 SCORE_TABLE_HEADER = ("code", "title", *SCORE_COLUMNS)
 
 
@@ -189,12 +189,6 @@ def read_score_table(source: str | Path | io.TextIOBase) -> ScoreTable:
                 scores[name] = value
             rows.append(ScoreRow(code, row[1], scores))
     return ScoreTable(rows)
-
-
-def format_score(value: float | None, full_precision: bool = False) -> str:
-    if value is None:
-        return ""
-    return repr(value) if full_precision else f"{value:.4f}"
 
 
 # Characters that make ``csv.writer`` quote a title (or that might, in some version).

@@ -641,6 +641,37 @@ def test_malformed_scenario_is_input_error(tmp_path, capsys, config):
     assert not out.exists()
 
 
+# --- occupation mixes ---------------------------------------------------------
+
+# A one-sector scenario whose exposure is the mean score of two scored codes.
+MIX = {"2-01": 0.5, "2-02": 0.5}
+
+
+def _mix_scenario(tmp_path, mix=MIX) -> str:
+    path = tmp_path / "mix_scenario.json"
+    sector = {"id": "a", "share": 1.0, "delta": 0.1, "occupation_mix": mix}
+    path.write_text(json.dumps({"rho": 2.0, "sectors": [sector]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "contour"])
+def test_occupation_mix_reads_the_column_of_the_scores(tmp_path, command):
+    scenario = _mix_scenario(tmp_path)
+    written = {}
+    for column in ("ensemble", "glm"):
+        out = tmp_path / f"{column}.out"
+        argv = [command, "--scenario", scenario, "--scores", SCORES, "--out", str(out)]
+        assert main(argv + (["--column", column] if column != "ensemble" else [])) == EXIT_OK
+        written[column] = out.read_bytes()
+        assert _parameters(out)["column"] == column
+        if command == "simulate":
+            scores = read_score_table(SCORES).column(column)
+            expected = sum(w * scores[code] for code, w in MIX.items())
+            exposure = json.loads(written[column])["sectors"][0]["exposure"]
+            assert exposure == pytest.approx(expected, abs=1e-4)
+    assert written["ensemble"] != written["glm"]
+
+
 # --- validate ----------------------------------------------------------------
 
 
@@ -659,6 +690,22 @@ def test_validate_clean_inputs(monkeypatch):
         == EXIT_OK
     )
     assert loads == [TAXONOMY]  # one read serves the check and the scripted mock
+
+
+def test_validate_checks_occupation_mixes_against_the_scores(tmp_path, capsys):
+    # The ensemble column, as ``simulate`` reads it by default.
+    scored = _mix_scenario(tmp_path)
+    assert main(["validate", "--scenario", scored, "--scores", SCORES]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+
+    (tmp_path / "unscored").mkdir()
+    unscored = _mix_scenario(tmp_path / "unscored", {"2-01": 0.5, "9-99": 0.5})
+    assert main(["validate", "--scenario", unscored, "--scores", SCORES]) == EXIT_INPUT
+    out = capsys.readouterr().out
+    assert out.startswith(f"scenario: {unscored}: ") and "unscored codes ['9-99']" in out
+
+    assert main(["validate", "--scenario", scored]) == EXIT_INPUT
+    assert "no occupational scores were supplied" in capsys.readouterr().out
 
 
 def test_validate_reports_row_sum(tmp_path, capsys):
@@ -887,7 +934,6 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
     )
     at_import, after_stats = result.stdout.splitlines()
     base = ["lmexposure", "lmexposure.cli", "lmexposure.errors", "lmexposure.runio"]
-    base += ["lmexposure.scores"]
     assert at_import == f"{base} False"
     assert "lmexposure.labor_stats" in after_stats
     assert "lmexposure.annotate" not in after_stats
@@ -897,35 +943,49 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
 @pytest.mark.parametrize(
     "argv, own",
     [
-        (["stats", "--scores", SCORES], ["commands.stats", "labor_stats"]),
+        (["stats", "--scores", SCORES], ["commands.stats", "labor_stats", "scores"]),
         (
             ["aggregate", "--taxonomy", TAXONOMY, "--scores", SCORES],
-            ["commands.aggregate", "taxonomy"],
+            ["commands.aggregate", "scores", "taxonomy"],
         ),
-        (["score", "--scores", SCORES], ["commands.score"]),
+        (["score", "--scores", SCORES], ["commands.score", "scores"]),
         (
             ["industry", "--intensity", INTENSITY, "--scores", SCORES],
-            ["commands.aggregate", "aggregate"],
+            ["commands.aggregate", "aggregate", "scores"],
         ),
         (["contour", "--scenario", SCENARIO], ["commands.adoption", "econ_model"]),
         (["simulate", "--scenario", SCENARIO], ["commands.adoption", "econ_model"]),
+        (["demographic", "--demographics", DEMOGRAPHICS], ["commands.aggregate", "aggregate"]),
+        (
+            ["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "glm",
+             "--n-samples", "1"],
+            ["annotate", "commands.annotate", "taxonomy"],
+        ),
     ],
-    ids=["stats", "aggregate", "score", "industry", "contour", "simulate"],
+    ids=["stats", "aggregate", "score", "industry", "contour", "simulate", "demographic",
+         "annotate"],
 )
 def test_a_command_loads_only_its_own_modules(tmp_path, argv, own):
+    if argv[0] == "demographic":  # its input is an ``industry`` output
+        industry = tmp_path / "industry.csv"
+        assert main(["industry", "--intensity", INTENSITY, "--scores", SCORES,
+                     "--out", str(industry)]) == EXIT_OK
+        argv = [*argv, "--industry-scores", str(industry)]
     package_root = Path(lmexposure.__file__).parents[1]
     code = (
         "import sys, lmexposure.cli\n"
         f"assert lmexposure.cli.main({argv + ['--out', str(tmp_path / 'out')]!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('lmexposure')))\n"
+        "print('_hashlib' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(package_root)}
+    # ``-S``: a .pth file in site-packages may import hashlib (OpenSSL) itself.
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    base = ["cli", "commands", "errors", "runio", "scores"]
+    base = ["cli", "commands", "errors", "runio"]
     expected = ["lmexposure"] + [f"lmexposure.{name}" for name in base + own]
-    assert result.stdout.strip() == str(sorted(expected))
+    assert result.stdout.splitlines() == [str(sorted(expected)), "False"]
 
 
 def test_validate_loads_only_the_readers_of_its_options():
