@@ -34,19 +34,14 @@ class MissingExposureError(ComputationError):
     """A weight column has no matching exposure score."""
 
 
-def _to_rows(
-    matrix: Sequence[Sequence[float]], n_rows: int, n_cols: int, what: str
-) -> list[list[float]]:
-    """Copy a matrix to float rows, checking its shape against its labels."""
-    rows = [[float(v) for v in row] for row in matrix]
-    if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
+def _check_rows(
+    matrix: Sequence[Sequence[float]], labels: list[str], columns: list[str], what: str
+) -> None:
+    """Check one row per label and one cell per column, each row stochastic."""
+    if len(matrix) != len(labels) or any(len(row) != len(columns) for row in matrix):
         raise InputFormatError(
-            f"{what} matrix is not {n_rows} x {n_cols}, one row and column per label"
+            f"{what} matrix is not {len(labels)} x {len(columns)}, one row and column per label"
         )
-    return rows
-
-
-def _check_rows(matrix: list[list[float]], labels: list[str], what: str) -> None:
     # Written so that NaN fails both checks: comparisons with NaN are false.
     for label, row in zip(labels, matrix):
         total = sum(row)
@@ -63,7 +58,7 @@ def _check_rows(matrix: list[list[float]], labels: list[str], what: str) -> None
 
 
 def _project(
-    matrix: list[list[float]],
+    matrix: Sequence[Sequence[float]],
     labels: list[str],
     columns: list[str],
     scores: Mapping[str, float],
@@ -89,34 +84,22 @@ class IntensityMatrix:
     def __init__(
         self, industries: list[str], occupations: list[str], beta: Sequence[Sequence[float]]
     ) -> None:
-        rows = _to_rows(beta, len(industries), len(occupations), "intensity")
-        self._set(industries, occupations, rows, [code_cell(c) for c in occupations])
-
-    def _set(
-        self,
-        industries: list[str],
-        occupations: list[str],
-        beta: list[list[float]],
-        codes: list[str],
-    ) -> None:
-        """Check and keep float rows of the labels' shape and the checked column codes."""
-        self.industries = industries
-        self.occupations = occupations
-        self.beta = beta
-        segments = {code.count("-") for code in codes}  # a code's level is its segment count
+        # A code's level is its segment count; code_cell checks each column's code.
+        segments = {code_cell(c).count("-") for c in occupations}
         if len(segments) > 1:
             from .taxonomy import Level
 
             levels = sorted(Level(n + 1).name for n in segments)
             raise InputFormatError(f"occupation columns mix taxonomy levels {levels}")
-        _check_rows(self.beta, self.industries, "intensity")
+        _check_rows(beta, industries, occupations, "intensity")
+        self.industries = industries
+        self.occupations = occupations
+        self.beta = beta
 
     @classmethod
     def from_csv(cls, source: str | Path) -> "IntensityMatrix":
         with located(source):
-            matrix = cls.__new__(cls)  # the reader's rows are floats of the header's width
-            matrix._set(*_read_share_file(source, "industry_id"))
-            return matrix
+            return cls(*_read_share_file(source, "industry_id"))
 
 
 class DemographicShares:
@@ -125,28 +108,23 @@ class DemographicShares:
     def __init__(
         self, age_groups: list[str], industries: list[str], w: Sequence[Sequence[float]]
     ) -> None:
-        self._set(age_groups, industries, _to_rows(w, len(age_groups), len(industries), "demographic"))
-
-    def _set(self, age_groups: list[str], industries: list[str], w: list[list[float]]) -> None:
-        """Check and keep float rows of the labels' shape."""
+        _check_rows(w, age_groups, industries, "demographic")
         self.age_groups = age_groups
         self.industries = industries
         self.w = w
-        _check_rows(self.w, age_groups, "demographic")
 
     @classmethod
     def from_csv(cls, source: str | Path) -> "DemographicShares":
         with located(source):
-            age_groups, industries, w, _ = _read_share_file(source, "age_group")
-            shares = cls.__new__(cls)  # the reader's rows are floats of the header's width
-            shares._set(age_groups, industries, w)
-            return shares
+            return cls(*_read_share_file(source, "age_group"))
 
 
 def _read_share_file(source: str | Path, key_column: str):
-    """(row labels, columns, float rows, checked occupation codes of the columns or None)."""
+    """(row labels, columns, float rows of the header's width) for a constructor to check.
+
+    Intensity columns are also checked as codes here, so a bad one is named at line 1.
+    """
     rows: dict[str, list[float]] = {}
-    codes = None
     with csv_input(source) as (header, lines, _):
         if not header or header[0] != key_column:
             got = header[0] if header else "nothing"
@@ -155,7 +133,8 @@ def _read_share_file(source: str | Path, key_column: str):
         if not columns:
             raise InputFormatError("share file has no weight columns")
         if key_column == "industry_id":  # intensity columns are occupation codes
-            codes = [code_cell(code) for code in columns]
+            for code in columns:
+                code_cell(code)
         if len(set(columns)) < len(columns):  # weights meet scores by column name
             repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
             raise InputFormatError(f"header names column {repeated!r} twice", line=1)
@@ -166,7 +145,7 @@ def _read_share_file(source: str | Path, key_column: str):
                 rows[row[0]] = list(map(float, row[1:]))
             except ValueError as exc:
                 raise InputFormatError(f"non-numeric share: {exc}") from None
-    return list(rows), columns, list(rows.values()), codes
+    return list(rows), columns, list(rows.values())
 
 
 def _read_industry_column(source: str | Path, column: str, parse: Callable[[str], object]) -> dict:

@@ -231,8 +231,12 @@ def main(argv: list[str] | None = None) -> int:
         module_name, handler_name = args.handler
         module = importlib.import_module(f".commands.{module_name}", __package__)
         return getattr(module, handler_name)(args)
-    except (FileNotFoundError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # a missing input, or an output path that cannot be written
+        path = exc.filename2 or exc.filename  # os.replace names the temp file, then the output
+        print(f"error: {path}: {exc.strerror}" if path else f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

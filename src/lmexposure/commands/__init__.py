@@ -28,7 +28,7 @@ class RunConfig:
 
     def __init__(self, args: argparse.Namespace, manifest: Path | None = None) -> None:
         self.command = args.command
-        self.inputs: dict[str, Path] = {}
+        self.inputs: dict[str, str] = {}  # role -> digest
         self.outputs: dict[str, Path] = {}
         self.parameters: dict[str, object] = {}
         if hasattr(args, "full_precision"):
@@ -36,10 +36,11 @@ class RunConfig:
         self.manifest = manifest  # None: ``<primary output>.manifest.json``
 
     def add_input(self, role: str, path: str | Path) -> Path:
+        """Digest the file at ``path`` before it is read, since an output may replace it."""
         p = Path(path)
         if not p.is_file():
             raise FileNotFoundError(f"input file not found: {p}")
-        self.inputs[role] = p
+        self.inputs[role] = runio.sha256_file(p)
         return p
 
     def score_column(self, args: argparse.Namespace) -> dict[str, float] | None:

@@ -56,9 +56,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(spec: str | None, default: list[float]) -> list[float]:
-    if spec is None:
-        return default
+def _parse_grid(spec: str) -> list[float]:
     try:
         if ":" in spec:
             lo_s, hi_s, n_s = spec.split(":")
@@ -85,15 +83,16 @@ def cmd_contour(args: argparse.Namespace) -> int:
     config = RunConfig(args)
     sectors, law = _scenario_inputs(args, config)
     sectors = sorted(sectors, key=lambda s: s.exposure, reverse=True)
-    delta_grid = _parse_grid(args.delta_grid, econ.default_delta_grid())
-    ratio_grid = _parse_grid(args.ratio_grid, econ.default_ratio_grid())
-    grid = econ.contour_grid(sectors, law, delta_grid, ratio_grid)
+    # The defaults that --help names; only an absent option, not '', falls back.
+    delta_grid = _parse_grid("0:0.95:21" if args.delta_grid is None else args.delta_grid)
+    ratio_grid = _parse_grid("0:1:21" if args.ratio_grid is None else args.ratio_grid)
+    values = econ.contour_grid(sectors, law, delta_grid, ratio_grid)
 
     header = "delta\\ratio," + ",".join(
-        runio.format_score(r, args.full_precision) for r in grid.ratio_grid
+        runio.format_score(r, args.full_precision) for r in ratio_grid
     )
     lines = [header]
-    for delta, row in zip(grid.delta_grid, grid.values):
+    for delta, row in zip(delta_grid, values):
         lines.append(
             runio.format_score(delta, args.full_precision)
             + ","

@@ -207,35 +207,20 @@ def optimal_decisions(sectors: Sequence[Sector], law: GrowthLaw) -> list[int]:
     return [adopt_decision(s, law) for s in sectors]
 
 
-class ContourGrid:
-    """Aggregate growth over a (damage ratio, adoption ratio) grid.
-
-    ``values[i][j]`` is the growth when all sectors carry damage ratio
-    ``delta_grid[i]`` and the floor(ratio * n) highest-exposure sectors
-    adopt, for ratio ``ratio_grid[j]``.
-    """
-
-    def __init__(
-        self, delta_grid: list[float], ratio_grid: list[float], values: list[list[float]]
-    ) -> None:
-        self.delta_grid = delta_grid
-        self.ratio_grid = ratio_grid
-        self.values = values
-
-
 def contour_grid(
     sectors: Sequence[Sector],
     law: GrowthLaw,
     delta_grid: Sequence[float],
     adoption_ratio_grid: Sequence[float],
-) -> ContourGrid:
+) -> list[list[float]]:
     """Aggregate growth for forced top-k adoption under uniform damage.
 
-    ``sectors`` must already be sorted by decreasing exposure; at grid cell
-    (delta, ratio) the top k = floor(ratio * n) sectors are forced to adopt,
-    the rest stay on the old technology, and every sector's damage ratio is
-    replaced by delta. With prefix sums A_k = sum of share * g(exposure) and
-    B_k = sum of share over the top k sectors, the cell is
+    Returns one row per damage ratio of ``delta_grid``, one cell per ratio of
+    ``adoption_ratio_grid``. ``sectors`` must already be sorted by decreasing
+    exposure; at cell (delta, ratio) the top k = floor(ratio * n) sectors are
+    forced to adopt, the rest stay on the old technology, and every sector's
+    damage ratio is replaced by delta. With prefix sums A_k = sum of share *
+    g(exposure) and B_k = sum of share over the top k sectors, the cell is
     1 + (1 - delta) * A_k - B_k.
     """
     if not delta_grid or not adoption_ratio_grid:
@@ -255,21 +240,7 @@ def contour_grid(
         a_sums.append(a_sums[-1] + s.output_share * law(s.exposure))
         b_sums.append(b_sums[-1] + s.output_share)
     ks = [math.floor(ratio * len(sectors)) for ratio in adoption_ratio_grid]
-    return ContourGrid(
-        delta_grid=list(delta_grid),
-        ratio_grid=list(adoption_ratio_grid),
-        values=[[1.0 + (1.0 - delta) * a_sums[k] - b_sums[k] for k in ks] for delta in delta_grid],
-    )
-
-
-def default_delta_grid(points: int = 21) -> list[float]:
-    """Evenly spaced damage ratios on [0, 0.95]."""
-    return [0.95 * i / (points - 1) for i in range(points)]
-
-
-def default_ratio_grid(points: int = 21) -> list[float]:
-    """Evenly spaced adoption ratios on [0, 1]."""
-    return [i / (points - 1) for i in range(points)]
+    return [[1.0 + (1.0 - delta) * a_sums[k] - b_sums[k] for k in ks] for delta in delta_grid]
 
 
 # --- scenario files ----------------------------------------------------------

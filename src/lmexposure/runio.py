@@ -82,14 +82,14 @@ def write_manifest(
     manifest_path: str | Path,
     command: str,
     parameters: Mapping[str, object],
-    inputs: Mapping[str, str | Path],
+    inputs: Mapping[str, str],
     outputs: Mapping[str, str | Path],
 ) -> None:
-    """Record what a run consumed and produced, with content digests."""
+    """Record what a run consumed (``inputs``: role -> digest) and produced."""
     manifest = {
         "command": command,
         "parameters": dict(parameters),
-        "inputs": {name: sha256_file(p) for name, p in sorted(inputs.items())},
+        "inputs": dict(inputs),
         "outputs": {name: sha256_file(p) for name, p in sorted(outputs.items())},
     }
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -24,8 +24,6 @@ from lmexposure.econ_model import (
     adopt_decision,
     aggregate_growth,
     contour_grid,
-    default_delta_grid,
-    default_ratio_grid,
     optimal_decisions,
 )
 from lmexposure.labor_stats import pearson, summarize
@@ -48,6 +46,11 @@ def criterion(number: int, description: str, time_limit: float | None = None):
             f"criterion {number} exceeded its {time_limit}s budget: {elapsed:.3f}s"
         )
     print(f"ACCEPTANCE {number} PASS: {description} ({elapsed:.3f}s)")
+
+
+def _grid(hi: float, points: int) -> list[float]:
+    """``points`` evenly spaced values on [0, hi], as ``contour``'s ``lo:hi:n`` spaces them."""
+    return [hi * i / (points - 1) for i in range(points)]
 
 
 def test_criterion_1_ensemble_consistency(score_table):
@@ -190,11 +193,12 @@ def test_criterion_7_contour_correctness():
             reverse=True,
         )
         law = ExponentialGrowth(rho=1.0)
-        grid = contour_grid(sectors, law, default_delta_grid(21), default_ratio_grid(21))
-        assert len(grid.values) == 21 and len(grid.values[0]) == 21
+        deltas, ratios = _grid(0.95, 21), _grid(1.0, 21)
+        rows = contour_grid(sectors, law, deltas, ratios)
+        assert len(rows) == 21 and len(rows[0]) == 21
 
-        for i, delta in enumerate(grid.delta_grid):
-            for j, ratio in enumerate(grid.ratio_grid):
+        for i, delta in enumerate(deltas):
+            for j, ratio in enumerate(ratios):
                 k = math.floor(ratio * len(sectors))
                 cell = 0.0
                 for rank, sector in enumerate(sectors):
@@ -202,10 +206,10 @@ def test_criterion_7_contour_correctness():
                         cell += sector.output_share * (1.0 - delta) * math.exp(sector.exposure)
                     else:
                         cell += sector.output_share
-                assert grid.values[i][j] == pytest.approx(cell, abs=1e-12)
+                assert rows[i][j] == pytest.approx(cell, abs=1e-12)
 
-        assert all(row[0] == 1.0 for row in grid.values)
-        zero_delta_row = grid.values[0]
+        assert all(row[0] == 1.0 for row in rows)
+        zero_delta_row = rows[0]
         assert all(a <= b + 1e-15 for a, b in zip(zero_delta_row, zero_delta_row[1:]))
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lmexposure
-from lmexposure import taxonomy
+from lmexposure import runio, taxonomy
 from lmexposure.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -873,6 +873,40 @@ def test_computation_error_leaves_no_partial_output(tmp_path):
     assert code == EXIT_COMPUTE
     assert not out.exists()
     assert len(table.rows) == 63  # fixture untouched
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["score", "--scores", SCORES, "--out", "{dir}"], "dir"),
+        (["score", "--scores", SCORES, "--out", "{file}/y.csv"], "file"),
+        (["pipeline", "--scores", SCORES, "--taxonomy", TAXONOMY, "--intensity", INTENSITY,
+          "--outdir", "{file}"], "file"),
+    ],
+    ids=["out-is-a-directory", "out-under-a-file", "pipeline-outdir-is-a-file"],
+)
+def test_an_output_path_that_cannot_be_written_is_config_error(tmp_path, capsys, argv, named):
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("kept\n")
+    assert main([a.format(**paths) for a in argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {paths[named]}: ")
+    # Nothing is left behind: no temp file, no manifest, the file untouched.
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
+    assert paths["file"].read_text() == "kept\n"
+
+
+def test_manifest_digests_an_input_before_the_output_replaces_it(tmp_path):
+    table = tmp_path / "t.csv"
+    lines = Path(SCORES).read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace(",0.6227,", ",0.9227,")  # so the ensemble is recomputed
+    table.write_text("".join(lines))
+    read = runio.sha256_file(table)
+    assert main(["score", "--scores", str(table), "--out", str(table)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+    assert runio.sha256_file(table) != read
+    assert manifest["inputs"] == {"scores": read}
+    assert manifest["outputs"] == {"scores": runio.sha256_file(table)}
 
 
 def test_unknown_command_exits_two():

@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from lmexposure.cli import EXIT_OK, main
 from lmexposure.econ_model import (
     ExponentialGrowth,
     Sector,
@@ -17,8 +18,6 @@ from lmexposure.econ_model import (
     adoption_threshold,
     aggregate_growth,
     contour_grid,
-    default_delta_grid,
-    default_ratio_grid,
     load_scenario,
     optimal_decisions,
     sector_damage,
@@ -29,6 +28,11 @@ from lmexposure.fixtures import fixture_path
 
 def _sector(i, share, delta, r):
     return Sector(id=f"s{i}", output_share=share, damage_ratio=delta, exposure=r)
+
+
+def _grid(hi, points):
+    """``points`` evenly spaced values on [0, hi], as ``lo:hi:n`` spaces them."""
+    return [hi * i / (points - 1) for i in range(points)]
 
 
 def _random_economy(rng: random.Random, n: int) -> list[Sector]:
@@ -286,21 +290,15 @@ def test_optimality_random_economies():
 def test_contour_zero_ratio_column_is_one():
     rng = random.Random(5)
     sectors = sorted(_random_economy(rng, 15), key=lambda s: s.exposure, reverse=True)
-    grid = contour_grid(
-        sectors, ExponentialGrowth(rho=1.0), default_delta_grid(5), default_ratio_grid(5)
-    )
-    assert grid.ratio_grid[0] == 0.0
-    for row in grid.values:
+    rows = contour_grid(sectors, ExponentialGrowth(rho=1.0), _grid(0.95, 5), _grid(1.0, 5))
+    for row in rows:
         assert row[0] == 1.0
 
 
 def test_contour_zero_delta_row_non_decreasing():
     rng = random.Random(6)
     sectors = sorted(_random_economy(rng, 15), key=lambda s: s.exposure, reverse=True)
-    grid = contour_grid(
-        sectors, ExponentialGrowth(rho=1.0), [0.0, 0.5], default_ratio_grid(21)
-    )
-    row = grid.values[0]
+    row = contour_grid(sectors, ExponentialGrowth(rho=1.0), [0.0, 0.5], _grid(1.0, 21))[0]
     assert all(a <= b + 1e-15 for a, b in zip(row, row[1:]))
 
 
@@ -308,9 +306,10 @@ def test_contour_cells_match_recomputation_oracle():
     rng = random.Random(7)
     sectors = sorted(_random_economy(rng, 15), key=lambda s: s.exposure, reverse=True)
     law = ExponentialGrowth(rho=1.0)
-    grid = contour_grid(sectors, law, default_delta_grid(6), default_ratio_grid(6))
-    for i, delta in enumerate(grid.delta_grid):
-        for j, ratio in enumerate(grid.ratio_grid):
+    deltas, ratios = _grid(0.95, 6), _grid(1.0, 6)
+    rows = contour_grid(sectors, law, deltas, ratios)
+    for i, delta in enumerate(deltas):
+        for j, ratio in enumerate(ratios):
             k = math.floor(ratio * len(sectors))
             oracle = 0.0
             for rank, sector in enumerate(sectors):
@@ -318,7 +317,7 @@ def test_contour_cells_match_recomputation_oracle():
                     oracle += sector.output_share * (1.0 - delta) * math.exp(sector.exposure)
                 else:
                     oracle += sector.output_share
-            assert grid.values[i][j] == pytest.approx(oracle, abs=1e-12)
+            assert rows[i][j] == pytest.approx(oracle, abs=1e-12)
 
 
 def test_contour_rejects_unsorted_sectors():
@@ -333,11 +332,15 @@ def test_contour_rejects_empty_grid():
         contour_grid(sectors, ExponentialGrowth(rho=1.0), [], [0.0])
 
 
-def test_default_grids():
-    deltas = default_delta_grid()
-    ratios = default_ratio_grid()
-    assert len(deltas) == 21 and deltas[0] == 0.0 and deltas[-1] == pytest.approx(0.95)
-    assert len(ratios) == 21 and ratios[0] == 0.0 and ratios[-1] == 1.0
+def test_default_grids(tmp_path):
+    """Without grid options, ``contour`` spans 21 damage ratios on [0, 0.95] and
+    21 adoption ratios on [0, 1], each 0.95 * i / 20 and i / 20 to the last bit."""
+    out = tmp_path / "contour.csv"
+    scenario = str(fixture_path("demo_scenario.json"))
+    assert main(["contour", "--scenario", scenario, "--out", str(out), "--full-precision"]) == EXIT_OK
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header[1:] == [repr(i / 20) for i in range(21)]
+    assert [row[0] for row in rows] == [repr(0.95 * i / 20) for i in range(21)]
 
 
 # --- sectors and scenarios ------------------------------------------------------------

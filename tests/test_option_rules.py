@@ -64,6 +64,9 @@ ONE = ["--n-samples", "1"]
 STORE = ["--annotations", "STORE"]
 OUTCOMES = ["--outcomes", "OUTCOMES"]
 FULL = ["--full-precision"]
+# A later --scenario replaces the one in BASE: a scenario whose exposure is an
+# occupation mix, so the column of --scores reaches the output.
+MIX = ["--scenario", "MIX_SCENARIO", "--scores", "SCORES"]
 
 # (command, option) -> (arguments without the option, arguments with it)
 CASES = {
@@ -92,11 +95,11 @@ CASES = {
     ("stats", "--plot-data"): (OUTCOMES, [*OUTCOMES, "--plot-data", "PLOT"]),
     ("stats", "--full-precision"): ([], FULL),
     ("simulate", "--scores"): ([], ["--scores", "SCORES"]),
-    ("simulate", "--column"): ([], ["--column", "glm"]),
+    ("simulate", "--column"): (MIX, [*MIX, "--column", "glm"]),
     ("simulate", "--rho"): ([], ["--rho", "2"]),
     ("simulate", "--full-precision"): ([], FULL),
     ("contour", "--scores"): ([], ["--scores", "SCORES"]),
-    ("contour", "--column"): ([], ["--column", "glm"]),
+    ("contour", "--column"): (MIX, [*MIX, "--column", "glm"]),
     ("contour", "--rho"): ([], ["--rho", "2"]),
     ("contour", "--delta-grid"): ([], ["--delta-grid", "0:0.5:3"]),
     ("contour", "--ratio-grid"): ([], ["--ratio-grid", "0:1:3"]),
@@ -137,6 +140,8 @@ def inputs(tmp_path_factory) -> dict[str, str]:
             for i, row in enumerate(read_score_table(paths["SCORES"]).rows)
         ),
         "MALFORMED": "{\n",
+        "MIX_SCENARIO": '{"sectors": [{"id": "a", "share": 1.0, "delta": 0.1, '
+        '"occupation_mix": {"2-01": 0.5, "2-02": 0.5}}]}\n',
     }
     for name, text in written.items():
         paths[name] = str(tmp / name.lower())
