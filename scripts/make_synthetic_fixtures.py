@@ -13,7 +13,10 @@ Produces, deterministically from --seed:
   data only; does not reproduce any survey.
 - demo_demographics.csv: random age-group x industry employment shares.
 - demo_scenario.json: 15-sector adoption scenario whose exposures are the
-  demo intensity matrix applied to the bundled ensemble scores.
+  demo intensity matrix applied to the bundled ensemble scores, computed as
+  ``industry`` computes them.
+- demo_sectors.json: the same scenario without exposures; ``simulate`` and
+  ``contour`` take them from ``industry`` output via ``--industry-scores``.
 - demo_mock.json: scripted mock-client answers for the 63 medium codes.
 
 Run from the repository root:
@@ -164,26 +167,37 @@ def build_demo_matrices(rng: random.Random, outdir: Path) -> None:
     agg.DemographicShares.from_csv(out)
     print(f"wrote {out} ({len(age_groups)}x{len(industries)})")
 
-    r_occ = table.column("ensemble")
-    exposure = agg.industry_exposure(matrix, r_occ)
+    # The exposures are what ``industry --full-precision`` writes for these inputs.
+    exposure = agg.industry_exposure(matrix, table.column("ensemble"))
     raw_shares = [rng.uniform(0.5, 1.5) for _ in industries]
     total = sum(raw_shares)
+    sectors = [
+        {"id": ind, "share": share / total, "delta": round(rng.uniform(0.05, 0.5), 4)}
+        for ind, share in zip(industries, raw_shares)
+    ]
     scenario = {
         "rho": 1.0,
         "law": "exponential",
         "sectors": [
-            {
-                "id": ind,
-                "share": share / total,
-                "exposure": exposure[ind],
-                "delta": round(rng.uniform(0.05, 0.5), 4),
-            }
-            for ind, share in zip(industries, raw_shares)
+            {"id": s["id"], "share": s["share"], "exposure": exposure[s["id"]], "delta": s["delta"]}
+            for s in sectors
         ],
     }
     out = outdir / "demo_scenario.json"
     out.write_text(json.dumps(scenario, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out} (15 sectors)")
+
+    unexposed = {
+        "description": "Synthetic demonstration scenario: demo_scenario.json without its "
+        "exposures; simulate and contour take them from industry output, given as "
+        "--industry-scores.",
+        "rho": 1.0,
+        "law": "exponential",
+        "sectors": sectors,
+    }
+    out = outdir / "demo_sectors.json"
+    out.write_text(json.dumps(unexposed, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out} (15 sectors without exposures)")
 
 
 def build_demo_mock(rng: random.Random, outdir: Path) -> None:

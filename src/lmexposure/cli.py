@@ -121,8 +121,7 @@ def _stats_arguments(p: argparse.ArgumentParser) -> None:
 
 def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, help="scenario JSON")
-    p.add_argument("--scores", help="score table for occupation-mix exposures")
-    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
+    p.add_argument("--industry-scores", help="industry scores for sectors without an exposure")
     p.add_argument("--rho", type=float, default=None, help="override the exponential law rho")
     _add_common(p)
     p.set_defaults(handler=("adoption", "cmd_simulate"))
@@ -130,8 +129,7 @@ def _simulate_arguments(p: argparse.ArgumentParser) -> None:
 
 def _contour_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True)
-    p.add_argument("--scores", help="score table for occupation-mix exposures")
-    p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
+    p.add_argument("--industry-scores", help="industry scores for sectors without an exposure")
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--delta-grid", help="lo:hi:n or comma list (default 0:0.95:21)")
     p.add_argument("--ratio-grid", help="lo:hi:n or comma list (default 0:1:21)")
@@ -146,6 +144,7 @@ def _validate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--intensity")
     p.add_argument("--demographics")
     p.add_argument("--outcomes")
+    p.add_argument("--industry-scores")
     p.add_argument("--scenario")
     p.add_argument("--annotations")
     p.add_argument("--mock")
@@ -186,8 +185,6 @@ _NEEDS = {
     ("score", "--expert"): ("--annotations", "applies to --annotations only, not --scores"),
     ("stats", "--plot-data"): ("--outcomes", "needs --outcomes: only a scatter report has plot data"),
     ("stats", "--column"): ("--outcomes", "needs --outcomes: only a scatter report reads one column"),
-    ("simulate", "--column"): ("--scores", "needs --scores: it names the column of --scores to read"),
-    ("contour", "--column"): ("--scores", "needs --scores: it names the column of --scores to read"),
 }
 
 

@@ -7,7 +7,7 @@ import importlib
 from operator import attrgetter
 from pathlib import Path
 
-from ..errors import EXIT_INPUT, EXIT_OK, ConfigError, LmExposureError
+from ..errors import EXIT_INPUT, EXIT_OK, LmExposureError
 
 # option -> (stage module, its loader). Only the modules of given options load.
 _LOADERS = {
@@ -17,26 +17,11 @@ _LOADERS = {
     "intensity": ("aggregate", "IntensityMatrix.from_csv"),
     "demographics": ("aggregate", "DemographicShares.from_csv"),
     "outcomes": ("labor_stats", "read_outcome_csv"),
-    "scenario": ("econ_model", "load_scenario"),
+    "industry_scores": ("aggregate", "read_industry_scores"),
+    "scenario": ("econ_model", "load_scenario"),  # sectors are checked against --industry-scores
     "annotations": ("annotate", "read_annotation_store"),
     "mock": ("annotate", "load_mock_client"),  # scripted codes are checked against --taxonomy
 }
-
-
-def _check_scenario(load_scenario, path: str, table) -> None:
-    """Check a scenario alone, or its occupation mixes against ``--scores``.
-
-    A mix reads the table's ``ensemble`` column, as ``simulate`` does by
-    default. ``load_scenario`` raises ``ConfigError`` for a table only once
-    the whole file has passed, where no sector takes its exposure from a mix.
-    """
-    if table is None:
-        load_scenario(path)
-        return
-    try:
-        load_scenario(path, r_occ=table.column("ensemble"))
-    except ConfigError:
-        pass
 
 
 def validate_inputs(args: argparse.Namespace) -> list[str]:
@@ -54,8 +39,8 @@ def validate_inputs(args: argparse.Namespace) -> list[str]:
         try:
             if option == "mock":
                 loaded[option] = load(path, loaded.get("taxonomy"))
-            elif option == "scenario":
-                _check_scenario(load, path, loaded.get("scores"))
+            elif option == "scenario":  # a file that failed above is not reported again
+                load(path, args.industry_scores if "industry_scores" in loaded else None)
             else:
                 loaded[option] = load(path)
         except LmExposureError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     SHARE_SUM_TOL,
@@ -248,18 +248,21 @@ def contour_grid(
 
 def load_scenario(
     source: str | Path,
-    r_occ: Mapping[str, float] | None = None,
+    industry_scores: str | Path | None = None,
     rho_override: float | None = None,
 ) -> tuple[list[Sector], GrowthLaw]:
     """Read a scenario JSON file into sectors plus a growth law.
 
-    Each sector needs an id, a share (or baseline output), an exposure (or
-    an occupation mix resolved against ``r_occ``), and a damage ratio. A
-    top-level ``damage_kappa`` may replace missing per-sector damage ratios
-    by kappa * exposure; that mapping is a modeling convenience with no
-    empirical grounding and must be opted into explicitly. ``rho_override``
-    replaces the rho of an exponential law; on a tabulated law it raises
-    ``ConfigError``, and so does ``r_occ`` where no exposure comes from a mix.
+    Each sector needs a unique id, a share (or baseline output), an exposure
+    and a damage ratio. A sector without ``exposure`` takes the score of its
+    id from ``industry_scores``, an ``industry_id,score`` file as ``industry``
+    writes it, which must score exactly those sectors. A top-level
+    ``damage_kappa`` may replace missing per-sector damage ratios by kappa *
+    exposure; that mapping is a modeling convenience with no empirical
+    grounding and must be opted into explicitly. ``rho_override`` replaces
+    the rho of an exponential law; on a tabulated law it raises
+    ``ConfigError``, and so does ``industry_scores`` where every sector gives
+    its own exposure.
     """
     config = json_object(source, "scenario")
     with located(source):
@@ -301,39 +304,42 @@ def load_scenario(
         else:
             raise InputFormatError("every sector needs either a share or a baseline_output")
 
-        sectors: list[Sector] = []
-        mixed = False  # whether any exposure comes from an occupation mix
-        for spec, share in zip(raw_sectors, shares):
-            sector_id = str(spec.get("id", len(sectors) + 1))
-            if "exposure" in spec:
-                exposure = parse_finite(spec["exposure"], "sector exposure")
-            elif "occupation_mix" in spec:
-                if r_occ is None:
-                    raise InputFormatError(
-                        f"sector {sector_id!r} references an occupation mix but no "
-                        "occupational scores were supplied"
-                    )
-                mix = spec["occupation_mix"]
-                if not isinstance(mix, dict):
-                    raise InputFormatError(f"sector {sector_id!r} occupation_mix must be an object")
-                mix = {str(k): parse_finite(v, "occupation_mix weight") for k, v in mix.items()}
-                weight = sum(mix.values())
-                if not abs(weight - 1.0) <= SHARE_SUM_TOL:
-                    raise InputFormatError(
-                        f"sector {sector_id!r} occupation mix sums to {weight:.12g}"
-                    )
-                missing = [c for c in mix if c not in r_occ]
-                if missing:
-                    raise InputFormatError(
-                        f"sector {sector_id!r} occupation mix references unscored codes "
-                        f"{missing[:5]}"
-                    )
-                exposure = sum(w * r_occ[c] for c, w in mix.items())
-                mixed = True
-            else:
+        ids = [str(spec.get("id", n + 1)) for n, spec in enumerate(raw_sectors)]
+        if len(set(ids)) < len(ids):  # industry scores meet sectors by id
+            repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
+            raise InputFormatError(f"sector id {repeated!r} appears more than once")
+        exposures: dict[str, float] = {}
+        for sector_id, spec in zip(ids, raw_sectors):
+            if "occupation_mix" in spec:  # an old scenario: its mix must not pass unread
                 raise InputFormatError(
-                    f"sector {sector_id!r} needs an exposure or an occupation_mix"
+                    f"sector {sector_id!r} has an occupation_mix, which is not read; give its "
+                    "exposure, or leave it out and pass industry scores"
                 )
+            if "exposure" in spec:
+                exposures[sector_id] = parse_finite(spec["exposure"], "sector exposure")
+        unexposed = [i for i in ids if i not in exposures]
+        if unexposed and industry_scores is not None:
+            from . import aggregate
+
+            scored = aggregate.read_industry_scores(industry_scores)
+            wanted = set(unexposed)
+            unscored = [i for i in unexposed if i not in scored]
+            extra = [i for i in scored if i not in wanted]
+            if unscored or extra:
+                raise InputFormatError(
+                    f"no score for sectors {unscored[:5]} of scenario {source}" if unscored
+                    else f"ids {extra[:5]} are no sector without an exposure in scenario {source}",
+                    path=str(industry_scores),
+                )
+            exposures.update(scored)
+
+        sectors: list[Sector] = []
+        for sector_id, spec, share in zip(ids, raw_sectors, shares):
+            if sector_id not in exposures:
+                raise InputFormatError(
+                    f"sector {sector_id!r} needs an exposure, or industry scores to give it one"
+                )
+            exposure = exposures[sector_id]
             if "delta" in spec:
                 delta = parse_finite(spec["delta"], "sector delta")
             elif kappa is not None:
@@ -345,10 +351,10 @@ def load_scenario(
             )
         check_share_sum(sectors)
     # Command-line options are not the file's: their errors name no path.
-    if r_occ is not None and not mixed:
+    if industry_scores is not None and not unexposed:
         raise ConfigError(
-            f"--scores applies to occupation mixes only; scenario {source} takes no "
-            "sector's exposure from one"
+            f"--industry-scores applies to sectors without an exposure; scenario {source} "
+            "gives every sector one"
         )
     if rho_override is not None:
         if not isinstance(law, ExponentialGrowth):
@@ -357,4 +363,3 @@ def load_scenario(
             )
         law = ExponentialGrowth(rho=rho_override)
     return sectors, law
-

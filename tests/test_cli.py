@@ -30,6 +30,7 @@ SCORES = str(fixture_path("medium63_scores.csv"))
 INTENSITY = str(fixture_path("demo_intensity15x63.csv"))
 DEMOGRAPHICS = str(fixture_path("demo_demographics.csv"))
 SCENARIO = str(fixture_path("demo_scenario.json"))
+SECTORS = str(fixture_path("demo_sectors.json"))  # SCENARIO without its exposures
 MOCK = str(fixture_path("demo_mock.json"))
 
 
@@ -220,8 +221,6 @@ NO_SCORES = ["--scores", "MISSING"]
             ["stats", *NO_SCORES, "--pair", "glm", "gpt4", "--outcomes", "MISSING"],
             "not allowed with argument --pair",
         ),
-        (["simulate", "--scenario", "MISSING", "--column", "glm"], "--column needs --scores"),
-        (["contour", "--scenario", "MISSING", "--column", "glm"], "--column needs --scores"),
     ],
 )
 def test_options_that_change_nothing_exit_2_before_any_file_is_read(
@@ -641,35 +640,61 @@ def test_malformed_scenario_is_input_error(tmp_path, capsys, config):
     assert not out.exists()
 
 
-# --- occupation mixes ---------------------------------------------------------
-
-# A one-sector scenario whose exposure is the mean score of two scored codes.
-MIX = {"2-01": 0.5, "2-02": 0.5}
+# --- industry scores ---------------------------------------------------------
 
 
-def _mix_scenario(tmp_path, mix=MIX) -> str:
-    path = tmp_path / "mix_scenario.json"
-    sector = {"id": "a", "share": 1.0, "delta": 0.1, "occupation_mix": mix}
-    path.write_text(json.dumps({"rho": 2.0, "sectors": [sector]}))
-    return str(path)
+@pytest.fixture
+def industry_scores(tmp_path) -> str:
+    """``industry`` at full precision on the inputs of the bundled scenario's exposures."""
+    out = tmp_path / "industry.csv"
+    argv = ["industry", "--intensity", INTENSITY, "--scores", SCORES, "--full-precision"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    return str(out)
 
 
 @pytest.mark.parametrize("command", ["simulate", "contour"])
-def test_occupation_mix_reads_the_column_of_the_scores(tmp_path, command):
-    scenario = _mix_scenario(tmp_path)
-    written = {}
-    for column in ("ensemble", "glm"):
-        out = tmp_path / f"{column}.out"
-        argv = [command, "--scenario", scenario, "--scores", SCORES, "--out", str(out)]
-        assert main(argv + (["--column", column] if column != "ensemble" else [])) == EXIT_OK
-        written[column] = out.read_bytes()
-        assert _parameters(out)["column"] == column
-        if command == "simulate":
-            scores = read_score_table(SCORES).column(column)
-            expected = sum(w * scores[code] for code, w in MIX.items())
-            exposure = json.loads(written[column])["sectors"][0]["exposure"]
-            assert exposure == pytest.approx(expected, abs=1e-4)
-    assert written["ensemble"] != written["glm"]
+def test_sectors_without_exposure_read_the_industry_scores(tmp_path, industry_scores, command):
+    # The chain writes the bytes of the scenario whose exposures the generator computed.
+    chained, bundled = tmp_path / "chained", tmp_path / "bundled"
+    argv = [command, "--scenario", SECTORS, "--industry-scores", industry_scores]
+    assert main([*argv, "--full-precision", "--out", str(chained)]) == EXIT_OK
+    argv = [command, "--scenario", SCENARIO]
+    assert main([*argv, "--full-precision", "--out", str(bundled)]) == EXIT_OK
+    assert chained.read_bytes() == bundled.read_bytes()
+    inputs = json.loads(Path(f"{chained}.manifest.json").read_text())["inputs"]
+    assert inputs["industry_scores"] == runio.sha256_file(Path(industry_scores))
+
+
+@pytest.mark.parametrize("command", ["simulate", "contour"])
+@pytest.mark.parametrize(
+    "scenario, rows, code, message",
+    [
+        (SCENARIO, slice(None), EXIT_CONFIG, "--industry-scores applies to sectors without an"),
+        (SECTORS, slice(-1), EXIT_INPUT, "{scores}: no score for sectors ['15'] of scenario"),
+        (SECTORS, ["16,0.5"], EXIT_INPUT, "{scores}: ids ['16'] are no sector without an"),
+        (SECTORS, None, EXIT_INPUT, "{scenario}: sector '1' needs an exposure"),
+        ("MIX", None, EXIT_INPUT, "{scenario}: sector 'a' has an occupation_mix"),
+    ],
+    ids=["every sector has an exposure", "missing id", "extra id", "no industry scores",
+         "leftover occupation mix"],
+)
+def test_industry_scores_that_do_not_fit_the_scenario_are_refused(
+    tmp_path, capsys, industry_scores, command, scenario, rows, code, message
+):
+    if scenario == "MIX":
+        scenario = str(tmp_path / "mix.json")
+        sector = {"id": "a", "share": 1.0, "delta": 0.1, "occupation_mix": {"2-01": 1.0}}
+        Path(scenario).write_text(json.dumps({"sectors": [sector]}))
+    argv = [command, "--scenario", scenario]
+    if rows is not None:  # the industry lines, sliced, or with lines added
+        lines = Path(industry_scores).read_text().splitlines()
+        lines = lines[rows] if isinstance(rows, slice) else lines + rows
+        Path(industry_scores).write_text("\n".join(lines) + "\n")
+        argv += ["--industry-scores", industry_scores]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    assert message.format(scores=industry_scores, scenario=scenario) in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- validate ----------------------------------------------------------------
@@ -692,20 +717,37 @@ def test_validate_clean_inputs(monkeypatch):
     assert loads == [TAXONOMY]  # one read serves the check and the scripted mock
 
 
-def test_validate_checks_occupation_mixes_against_the_scores(tmp_path, capsys):
-    # The ensemble column, as ``simulate`` reads it by default.
-    scored = _mix_scenario(tmp_path)
-    assert main(["validate", "--scenario", scored, "--scores", SCORES]) == EXIT_OK
-    assert capsys.readouterr().out == ""
+def test_validate_checks_the_scenario_against_the_industry_scores(
+    tmp_path, capsys, industry_scores
+):
+    def validate(*argv: str) -> str:
+        code = main(["validate", *argv])
+        out = capsys.readouterr().out
+        assert code == (EXIT_INPUT if out else EXIT_OK)
+        return out
 
-    (tmp_path / "unscored").mkdir()
-    unscored = _mix_scenario(tmp_path / "unscored", {"2-01": 0.5, "9-99": 0.5})
-    assert main(["validate", "--scenario", unscored, "--scores", SCORES]) == EXIT_INPUT
-    out = capsys.readouterr().out
-    assert out.startswith(f"scenario: {unscored}: ") and "unscored codes ['9-99']" in out
-
-    assert main(["validate", "--scenario", scored]) == EXIT_INPUT
-    assert "no occupational scores were supplied" in capsys.readouterr().out
+    assert validate("--scenario", SECTORS, "--industry-scores", industry_scores) == ""
+    # What ``simulate`` refuses, ``validate`` reports.
+    assert validate("--scenario", SECTORS).startswith(
+        f"scenario: {SECTORS}: sector '1' needs an exposure"
+    )
+    assert validate("--scenario", SCENARIO, "--industry-scores", industry_scores) == (
+        "scenario: --industry-scores applies to sectors without an exposure; "
+        f"scenario {SCENARIO} gives every sector one\n"
+    )
+    extra = tmp_path / "extra.csv"
+    extra.write_text(Path(industry_scores).read_text() + "16,0.5\n")
+    assert validate("--scenario", SECTORS, "--industry-scores", str(extra)).startswith(
+        f"scenario: {extra}: ids ['16'] are no sector without an exposure"
+    )
+    # A malformed file is reported under its own option, and once.
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("industry_id,score\n1,abc\n")
+    alone = validate("--industry-scores", str(malformed))
+    assert alone == f"industry_scores: {malformed}:2: score 'abc' is not a finite number\n"
+    assert validate("--scenario", SECTORS, "--industry-scores", str(malformed)).count(
+        str(malformed)
+    ) == 1
 
 
 def test_validate_reports_row_sum(tmp_path, capsys):
@@ -989,6 +1031,7 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
         ),
         (["contour", "--scenario", SCENARIO], ["commands.adoption", "econ_model"]),
         (["simulate", "--scenario", SCENARIO], ["commands.adoption", "econ_model"]),
+        (["simulate", "--scenario", SECTORS], ["aggregate", "commands.adoption", "econ_model"]),
         (["demographic", "--demographics", DEMOGRAPHICS], ["commands.aggregate", "aggregate"]),
         (
             ["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "glm",
@@ -996,11 +1039,11 @@ def test_cli_imports_only_what_the_command_runs(tmp_path):
             ["annotate", "commands.annotate", "taxonomy"],
         ),
     ],
-    ids=["stats", "aggregate", "score", "industry", "contour", "simulate", "demographic",
-         "annotate"],
+    ids=["stats", "aggregate", "score", "industry", "contour", "simulate",
+         "simulate --industry-scores", "demographic", "annotate"],
 )
 def test_a_command_loads_only_its_own_modules(tmp_path, argv, own):
-    if argv[0] == "demographic":  # its input is an ``industry`` output
+    if argv[0] == "demographic" or SECTORS in argv:  # its input is an ``industry`` output
         industry = tmp_path / "industry.csv"
         assert main(["industry", "--intensity", INTENSITY, "--scores", SCORES,
                      "--out", str(industry)]) == EXIT_OK
@@ -1179,6 +1222,28 @@ def test_annotate_rejects_bad_options_before_building_a_client(
     assert main([*argv, option, value, "--out", str(store)]) == EXIT_CONFIG
     assert named in capsys.readouterr().err
     assert not store.exists()
+
+
+def test_annotate_reads_a_rubric_file(tmp_path, capsys):
+    argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "glm",
+            "--n-samples", "1"]
+    rubric = tmp_path / "rubric.txt"
+    rubric.write_text("Label the occupation E0\u2013E3.\n", encoding="utf-8")
+    store = tmp_path / "store.jsonl"
+    assert main([*argv, "--rubric", str(rubric), "--out", str(store)]) == EXIT_OK
+    assert store.read_text()
+    inputs = json.loads(Path(f"{store}.manifest.json").read_text())["inputs"]
+    assert inputs["rubric"] == runio.sha256_file(rubric)
+
+    missing, out = tmp_path / "missing.txt", tmp_path / "out.jsonl"
+    assert main([*argv, "--rubric", str(missing), "--out", str(out)]) == EXIT_CONFIG
+    assert str(missing) in capsys.readouterr().err
+
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("\u00c9tiquetez E0 \u00e0 E3.\n".encode("latin-1"))
+    assert main([*argv, "--rubric", str(latin1), "--out", str(out)]) == EXIT_INPUT
+    assert f"{latin1}: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_annotate_refuses_an_existing_store(tmp_path, capsys):

@@ -380,28 +380,70 @@ def test_demo_scenario_loads():
     assert sum(s.output_share for s in sectors) == pytest.approx(1.0, abs=1e-9)
 
 
+def _write(path, config) -> str:
+    path.write_text(json.dumps(config) if not isinstance(config, str) else config)
+    return str(path)
+
+
+# Two sectors that take their exposures from an industry-score file.
+UNEXPOSED = {"rho": 2.0, "sectors": [
+    {"id": "a", "share": 0.5, "delta": 0.1},
+    {"id": "b", "share": 0.5, "delta": 0.2},
+]}
+
+
 def test_scenario_occupation_mix(tmp_path):
-    path = tmp_path / "scenario.json"
-    path.write_text(
-        json.dumps(
-            {
-                "rho": 2.0,
-                "sectors": [
-                    {
-                        "id": "a",
-                        "share": 1.0,
-                        "delta": 0.1,
-                        "occupation_mix": {"2-01": 0.5, "2-02": 0.5},
-                    }
-                ],
-            }
-        )
-    )
-    sectors, law = load_scenario(path, r_occ={"2-01": 0.2, "2-02": 0.4})
-    assert sectors[0].exposure == pytest.approx(0.3)
+    # A mix is no longer read; a scenario that holds one is refused, not run without it.
+    scores = _write(tmp_path / "industry.csv", "industry_id,score\na,0.3\n")
+    mix = {"2-01": 0.5, "2-02": 0.5}
+    for name, sector in (
+        ("mix", {"id": "a", "share": 1.0, "delta": 0.1, "occupation_mix": mix}),
+        ("both", {"id": "a", "share": 1.0, "delta": 0.1, "exposure": 0.3, "occupation_mix": mix}),
+    ):
+        path = _write(tmp_path / f"{name}.json", {"sectors": [sector]})
+        refused = "^" + re.escape(f"{path}: sector 'a' has an occupation_mix")
+        for industry_scores in (None, scores):
+            with pytest.raises(InputFormatError, match=refused):
+                load_scenario(path, industry_scores)
+
+
+def test_sectors_without_exposure_take_their_industry_score(tmp_path):
+    path = _write(tmp_path / "scenario.json", {
+        **UNEXPOSED, "damage_kappa": 0.5,
+        "sectors": [{"id": "a", "share": 0.5}, {"id": "b", "share": 0.5, "exposure": 0.25}],
+    })
+    scores = _write(tmp_path / "industry.csv", "industry_id,score\na,0.3\n")
+    sectors, law = load_scenario(path, scores)
+    assert [(s.id, s.exposure, s.damage_ratio) for s in sectors] == [
+        ("a", 0.3, 0.15), ("b", 0.25, 0.125)
+    ]
     assert law.rho == 2.0
-    with pytest.raises(InputFormatError):
-        load_scenario(path)  # mix without scores
+    # A sector that gives its own exposure takes no score.
+    both = _write(tmp_path / "both.csv", "industry_id,score\na,0.3\nb,0.4\n")
+    with pytest.raises(InputFormatError, match=re.escape("ids ['b'] are no sector without")):
+        load_scenario(path, both)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("a,0.3\n", "no score for sectors ['b'] of scenario "),
+        ("a,0.3\nb,0.4\nc,0.5\n", "ids ['c'] are no sector without an exposure in scenario "),
+    ],
+    ids=["missing id", "extra id"],
+)
+def test_industry_scores_must_score_exactly_the_sectors_without_exposure(tmp_path, rows, message):
+    path = _write(tmp_path / "scenario.json", UNEXPOSED)
+    scores = _write(tmp_path / "industry.csv", "industry_id,score\n" + rows)
+    with pytest.raises(InputFormatError, match="^" + re.escape(f"{scores}: {message}{path}")):
+        load_scenario(path, scores)
+
+
+def test_a_sector_without_exposure_needs_industry_scores(tmp_path):
+    path = _write(tmp_path / "scenario.json", UNEXPOSED)
+    refused = "^" + re.escape(f"{path}: sector 'a' needs an exposure")
+    with pytest.raises(InputFormatError, match=refused):
+        load_scenario(path)
 
 
 def test_scenario_damage_kappa(tmp_path):
@@ -470,6 +512,7 @@ def test_scenario_errors(tmp_path):
 
     sector = {"id": "a", "share": 1.0, "exposure": 0.4, "delta": 0.1}
     mixed = {"id": "a", "share": 1.0, "occupation_mix": {"2-01": "abc"}, "delta": 0.1}
+    half = {**sector, "share": 0.5}
     malformed = {
         "rho": {"rho": "abc", "sectors": [sector]},
         "top_level": [1],
@@ -481,12 +524,18 @@ def test_scenario_errors(tmp_path):
         "kappa": {"damage_kappa": "abc", "sectors": [{"id": "a", "share": 1.0, "exposure": 0.4}]},
         "mix_weight": {"sectors": [mixed]},
         "mix_shape": {"sectors": [{**mixed, "occupation_mix": [1]}]},
+        # Industry scores meet sectors by id: a repeat would take one score twice.
+        "repeated_id": {"sectors": [half, half]},
+        "repeated_default_id": {"sectors": [{**half, "id": "2"}, {**half, "id": 2}]},
     }
     for name, config in malformed.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
         with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}: ")):
-            load_scenario(path, r_occ={"2-01": 0.5})
+            load_scenario(path)
+    for name in ("repeated_id", "repeated_default_id"):
+        with pytest.raises(InputFormatError, match="sector id '[a2]' appears more than once"):
+            load_scenario(tmp_path / f"{name}.json")
 
 
 def test_rho_override(tmp_path):
@@ -500,17 +549,14 @@ def test_rho_override(tmp_path):
     assert law.rho == 3.0
 
 
-def test_scores_on_a_scenario_without_occupation_mix_are_refused(tmp_path):
-    exposed = {"id": "a", "share": 1.0, "exposure": 0.4, "delta": 0.1}
-    # An exposure takes precedence over a mix, so the mix reads no score.
-    both = {**exposed, "occupation_mix": {"2-01": 1.0}}
-    for name, sector in (("exposure", exposed), ("both", both)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"sectors": [sector]}))
-        with pytest.raises(ConfigError, match="--scores applies to occupation mixes only"):
-            load_scenario(path, r_occ={"2-01": 0.5})
-        sectors, _ = load_scenario(path)
-        assert sectors[0].exposure == 0.4
+def test_industry_scores_on_a_scenario_where_every_sector_has_an_exposure_are_refused(tmp_path):
+    sector = {"id": "a", "share": 1.0, "exposure": 0.4, "delta": 0.1}
+    path = _write(tmp_path / "scenario.json", {"sectors": [sector]})
+    scores = _write(tmp_path / "industry.csv", "industry_id,score\na,0.3\n")
+    with pytest.raises(ConfigError, match="--industry-scores applies to sectors without an"):
+        load_scenario(path, scores)
+    sectors, _ = load_scenario(path)
+    assert sectors[0].exposure == 0.4
 
 
 def test_rho_override_on_a_tabulated_law_is_refused(tmp_path):

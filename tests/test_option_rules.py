@@ -64,9 +64,6 @@ ONE = ["--n-samples", "1"]
 STORE = ["--annotations", "STORE"]
 OUTCOMES = ["--outcomes", "OUTCOMES"]
 FULL = ["--full-precision"]
-# A later --scenario replaces the one in BASE: a scenario whose exposure is an
-# occupation mix, so the column of --scores reaches the output.
-MIX = ["--scenario", "MIX_SCENARIO", "--scores", "SCORES"]
 
 # (command, option) -> (arguments without the option, arguments with it)
 CASES = {
@@ -94,12 +91,11 @@ CASES = {
     ("stats", "--column"): ([], ["--column", "glm"]),
     ("stats", "--plot-data"): (OUTCOMES, [*OUTCOMES, "--plot-data", "PLOT"]),
     ("stats", "--full-precision"): ([], FULL),
-    ("simulate", "--scores"): ([], ["--scores", "SCORES"]),
-    ("simulate", "--column"): (MIX, [*MIX, "--column", "glm"]),
+    # SCENARIO gives every sector its exposure, so industry scores are refused.
+    ("simulate", "--industry-scores"): ([], ["--industry-scores", "INDUSTRY_SCORES"]),
     ("simulate", "--rho"): ([], ["--rho", "2"]),
     ("simulate", "--full-precision"): ([], FULL),
-    ("contour", "--scores"): ([], ["--scores", "SCORES"]),
-    ("contour", "--column"): (MIX, [*MIX, "--column", "glm"]),
+    ("contour", "--industry-scores"): ([], ["--industry-scores", "INDUSTRY_SCORES"]),
     ("contour", "--rho"): ([], ["--rho", "2"]),
     ("contour", "--delta-grid"): ([], ["--delta-grid", "0:0.5:3"]),
     ("contour", "--ratio-grid"): ([], ["--ratio-grid", "0:1:3"]),
@@ -108,7 +104,7 @@ CASES = {
         ("validate", option): ([], [option, "MALFORMED"])
         for option in (
             "--taxonomy", "--scores", "--expert", "--intensity", "--demographics",
-            "--outcomes", "--scenario", "--annotations", "--mock",
+            "--outcomes", "--industry-scores", "--scenario", "--annotations", "--mock",
         )
     },
     ("pipeline", "--column"): ([], ["--column", "glm"]),
@@ -140,8 +136,6 @@ def inputs(tmp_path_factory) -> dict[str, str]:
             for i, row in enumerate(read_score_table(paths["SCORES"]).rows)
         ),
         "MALFORMED": "{\n",
-        "MIX_SCENARIO": '{"sectors": [{"id": "a", "share": 1.0, "delta": 0.1, '
-        '"occupation_mix": {"2-01": 0.5, "2-02": 0.5}}]}\n',
     }
     for name, text in written.items():
         paths[name] = str(tmp / name.lower())
