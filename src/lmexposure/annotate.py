@@ -23,7 +23,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from . import MODEL_COLUMNS
-from .errors import ComputationError, InputFormatError, LmExposureError, json_object, located, open_text
+from .errors import (
+    ComputationError, InputFormatError, LmExposureError, json_object, located, only_keys, open_text
+)
 from .taxonomy import OccupationCode, OccupationNode, Taxonomy
 
 
@@ -311,7 +313,7 @@ def load_mock_client(
     Recognized shapes: ``{"kind": "fixed", "answer": "E1"}`` (a cycle of
     one answer), ``{"kind": "cycle", "answers": [...]}`` and
     ``{"kind": "scripted", "answers": {"2-06": ["E1", ...]}}`` (the scripted
-    kind needs a taxonomy to resolve codes to titles).
+    kind needs a taxonomy to resolve codes to titles). Any other key is refused.
     """
     config = json_object(source, "mock configuration")
     with located(source):
@@ -319,6 +321,7 @@ def load_mock_client(
         if not isinstance(kind, str) or kind not in _MOCK_ANSWERS:
             raise InputFormatError(f"unknown mock client kind {kind!r}")
         key, expected, type_name = _MOCK_ANSWERS[kind]
+        only_keys(config, {"kind", key}, f"{kind} mock configuration")
         answers = config.get(key)
         if not isinstance(answers, expected) or (
             kind == "scripted" and not all(isinstance(v, list) for v in answers.values())

@@ -120,17 +120,15 @@ def _stats_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _simulate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", required=True, help="scenario JSON")
+    p.add_argument("--scenario", required=True, help="scenario JSON: growth law, rho, sectors")
     p.add_argument("--industry-scores", help="industry scores for sectors without an exposure")
-    p.add_argument("--rho", type=float, default=None, help="override the exponential law rho")
     _add_common(p)
     p.set_defaults(handler=("adoption", "cmd_simulate"))
 
 
 def _contour_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", required=True)
+    p.add_argument("--scenario", required=True, help="scenario JSON: growth law, rho, sectors")
     p.add_argument("--industry-scores", help="industry scores for sectors without an exposure")
-    p.add_argument("--rho", type=float, default=None)
     p.add_argument("--delta-grid", help="lo:hi:n or comma list (default 0:0.95:21)")
     p.add_argument("--ratio-grid", help="lo:hi:n or comma list (default 0:1:21)")
     _add_common(p)

@@ -13,14 +13,11 @@ from . import RunConfig
 
 
 def _scenario_inputs(args: argparse.Namespace, config: RunConfig):
-    if args.rho is not None and not math.isfinite(args.rho):
-        raise InputFormatError(f"--rho must be a finite number, got {args.rho}")
-    config.parameters["rho"] = args.rho
     scenario = config.add_input("scenario", args.scenario)
     scores = args.industry_scores
     if scores is not None:
         scores = config.add_input("industry_scores", scores)
-    return econ.load_scenario(scenario, scores, rho_override=args.rho)
+    return econ.load_scenario(scenario, scores)
 
 
 def _law_payload(law: econ.GrowthLaw) -> dict[str, object]:

@@ -22,6 +22,7 @@ from .errors import (
     InputFormatError,
     json_object,
     located,
+    only_keys,
     parse_finite,
 )
 
@@ -122,11 +123,7 @@ def adoption_threshold(delta: float, law: GrowthLaw) -> float | None:
 
 
 class Sector:
-    """One sector: id, baseline output share, damage ratio, derived exposure.
-
-    Only output shares enter the aggregate; a scenario that gives baseline
-    output levels instead is converted to shares on loading.
-    """
+    """One sector: id, baseline output share, damage ratio, derived exposure."""
 
     def __init__(self, id: str, output_share: float, damage_ratio: float, exposure: float) -> None:
         self.id = id
@@ -150,14 +147,6 @@ def check_share_sum(sectors: Sequence[Sector]) -> None:
         raise ComputationError(
             f"sector output shares sum to {total:.12g}, expected 1 within {SHARE_SUM_TOL}"
         )
-
-
-def shares_from_outputs(outputs: Sequence[float]) -> list[float]:
-    """Output shares from baseline output levels."""
-    total = sum(outputs)
-    if total <= 0:
-        raise ComputationError("baseline outputs must sum to a positive total")
-    return [y / total for y in outputs]
 
 
 def adopt_decision(sector: Sector, law: GrowthLaw) -> int:
@@ -246,33 +235,48 @@ def contour_grid(
 # --- scenario files ----------------------------------------------------------
 
 
+# The keys a scenario may hold; one with a tabulated law holds no rho.
+_SCENARIO_KEYS = frozenset({"description", "rho", "law", "sectors"})
+_TABULATED_LAW_KEYS = frozenset({"kind", "points"})
+_SECTOR_KEYS = frozenset({"id", "share", "exposure", "delta"})
+
+
 def load_scenario(
-    source: str | Path,
-    industry_scores: str | Path | None = None,
-    rho_override: float | None = None,
+    source: str | Path, industry_scores: str | Path | None = None
 ) -> tuple[list[Sector], GrowthLaw]:
     """Read a scenario JSON file into sectors plus a growth law.
 
-    Each sector needs a unique id, a share (or baseline output), an exposure
-    and a damage ratio. A sector without ``exposure`` takes the score of its
-    id from ``industry_scores``, an ``industry_id,score`` file as ``industry``
-    writes it, which must score exactly those sectors. A top-level
-    ``damage_kappa`` may replace missing per-sector damage ratios by kappa *
-    exposure; that mapping is a modeling convenience with no empirical
-    grounding and must be opted into explicitly. ``rho_override`` replaces
-    the rho of an exponential law; on a tabulated law it raises
-    ``ConfigError``, and so does ``industry_scores`` where every sector gives
-    its own exposure.
+    The file is the one source of the model's parameters. It is a JSON object
+    with these keys:
+
+    - ``description``: free text, which is not read.
+    - ``law``: ``"exponential"`` (the default), or ``{"kind": "tabulated",
+      "points": [[exposure, factor], ...]}``, the breakpoints of a
+      ``TabulatedGrowth``.
+    - ``rho``: the exponential law's rho, a positive number; default 1. A
+      scenario with a tabulated law has no ``rho``.
+    - ``sectors``: a non-empty list of objects, each with ``id``, a non-empty
+      string that no other sector has, its output ``share`` (the shares sum
+      to 1), its damage ratio ``delta`` in [0, 1), and its ``exposure`` in
+      [0, 1]. A sector without ``exposure`` takes the score of its id from
+      ``industry_scores``, an ``industry_id,score`` file as ``industry``
+      writes it, which must score exactly those sectors.
+
+    Every number must be finite. A key outside these lists, in the scenario,
+    its tabulated law or a sector, is refused rather than left unread, so a
+    misspelt key cannot leave its field at the default. Every fault of the
+    file raises ``InputFormatError`` at ``source``. ``industry_scores`` on a
+    scenario where every sector gives its own exposure raises ``ConfigError``.
     """
     config = json_object(source, "scenario")
     with located(source):
         law_spec = config.get("law", "exponential")
-        if law_spec == "exponential" or (
-            isinstance(law_spec, dict) and law_spec.get("kind") == "exponential"
-        ):
-            rho = parse_finite(config.get("rho", 1.0), "rho")
-            law: GrowthLaw = ExponentialGrowth(rho=rho)
+        if law_spec == "exponential":
+            only_keys(config, _SCENARIO_KEYS, "scenario")
+            law: GrowthLaw = ExponentialGrowth(rho=parse_finite(config.get("rho", 1.0), "rho"))
         elif isinstance(law_spec, dict) and law_spec.get("kind") == "tabulated":
+            only_keys(config, _SCENARIO_KEYS - {"rho"}, "scenario with a tabulated law")
+            only_keys(law_spec, _TABULATED_LAW_KEYS, "tabulated law")
             points = law_spec.get("points")
             if not isinstance(points, list) or not all(
                 isinstance(p, list) and len(p) == 2 for p in points
@@ -284,40 +288,30 @@ def load_scenario(
                 points=tuple(tuple(parse_finite(v, "law point") for v in p) for p in points)
             )
         else:
-            raise InputFormatError(f"unknown growth law {law_spec!r}")
+            raise InputFormatError(f"growth law {law_spec!r} is not 'exponential' or tabulated")
 
-        kappa = config.get("damage_kappa")
-        if kappa is not None:
-            kappa = parse_finite(kappa, "damage_kappa")
         raw_sectors = config.get("sectors")
         if not raw_sectors:
             raise InputFormatError("scenario lists no sectors")
         if not isinstance(raw_sectors, list) or not all(isinstance(s, dict) for s in raw_sectors):
             raise InputFormatError("scenario sectors must be a list of objects")
 
-        shares: list[float]
-        if all("share" in s for s in raw_sectors):
-            shares = [parse_finite(s["share"], "sector share") for s in raw_sectors]
-        elif all("baseline_output" in s for s in raw_sectors):
-            outputs = [parse_finite(s["baseline_output"], "baseline_output") for s in raw_sectors]
-            shares = shares_from_outputs(outputs)
-        else:
-            raise InputFormatError("every sector needs either a share or a baseline_output")
-
-        ids = [str(spec.get("id", n + 1)) for n, spec in enumerate(raw_sectors)]
-        if len(set(ids)) < len(ids):  # industry scores meet sectors by id
-            repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
-            raise InputFormatError(f"sector id {repeated!r} appears more than once")
+        specs: dict[str, dict] = {}  # by id, which industry scores meet
         exposures: dict[str, float] = {}
-        for sector_id, spec in zip(ids, raw_sectors):
-            if "occupation_mix" in spec:  # an old scenario: its mix must not pass unread
-                raise InputFormatError(
-                    f"sector {sector_id!r} has an occupation_mix, which is not read; give its "
-                    "exposure, or leave it out and pass industry scores"
-                )
+        for n, spec in enumerate(raw_sectors, 1):
+            sector_id = spec.get("id")
+            if not isinstance(sector_id, str) or not sector_id:
+                raise InputFormatError(f"sector {n} needs a non-empty string id, got {sector_id!r}")
+            # A sector holds only keys that are read, share and delta among them.
+            if not _SECTOR_KEYS >= spec.keys() >= {"share", "delta"}:
+                only_keys(spec, _SECTOR_KEYS, f"sector {sector_id!r}")
+                raise InputFormatError(f"sector {sector_id!r} needs a share and a delta")
+            if sector_id in specs:
+                raise InputFormatError(f"sector id {sector_id!r} appears more than once")
+            specs[sector_id] = spec
             if "exposure" in spec:
                 exposures[sector_id] = parse_finite(spec["exposure"], "sector exposure")
-        unexposed = [i for i in ids if i not in exposures]
+        unexposed = [i for i in specs if i not in exposures]
         if unexposed and industry_scores is not None:
             from . import aggregate
 
@@ -334,32 +328,24 @@ def load_scenario(
             exposures.update(scored)
 
         sectors: list[Sector] = []
-        for sector_id, spec, share in zip(ids, raw_sectors, shares):
+        for sector_id, spec in specs.items():
             if sector_id not in exposures:
                 raise InputFormatError(
                     f"sector {sector_id!r} needs an exposure, or industry scores to give it one"
                 )
-            exposure = exposures[sector_id]
-            if "delta" in spec:
-                delta = parse_finite(spec["delta"], "sector delta")
-            elif kappa is not None:
-                delta = kappa * exposure
-            else:
-                raise InputFormatError(f"sector {sector_id!r} needs a delta (or set damage_kappa)")
             sectors.append(
-                Sector(id=sector_id, output_share=share, damage_ratio=delta, exposure=exposure)
+                Sector(
+                    id=sector_id,
+                    output_share=parse_finite(spec["share"], "sector share"),
+                    damage_ratio=parse_finite(spec["delta"], "sector delta"),
+                    exposure=exposures[sector_id],
+                )
             )
         check_share_sum(sectors)
-    # Command-line options are not the file's: their errors name no path.
+    # A command-line option is not the file's: its error names no path.
     if industry_scores is not None and not unexposed:
         raise ConfigError(
             f"--industry-scores applies to sectors without an exposure; scenario {source} "
             "gives every sector one"
         )
-    if rho_override is not None:
-        if not isinstance(law, ExponentialGrowth):
-            raise ConfigError(
-                f"--rho applies to an exponential law only; scenario {source} has a tabulated law"
-            )
-        law = ExponentialGrowth(rho=rho_override)
     return sectors, law

@@ -5,7 +5,8 @@ to the inputs given (``ConfigError``), problems with the bytes we were given
 (``InputFormatError``) and problems discovered while computing on otherwise
 well-formed inputs (``ComputationError``). A reader opens its file through
 ``csv_input`` or ``json_object``, which name the file, at its line, in every
-error; it checks its cells with ``parse_finite`` and ``code_cell``.
+error; it checks its cells with ``parse_finite`` and ``code_cell``, and the
+keys of a JSON object with ``only_keys``.
 """
 
 from __future__ import annotations
@@ -140,9 +141,11 @@ def _rows(reader, width: int) -> Iterator[list[str]]:
 
 
 def cells_at(header: list[str], names: tuple[str, ...]) -> list[int]:
-    """The cell index of each name in ``header``; a repeated name: its last cell."""
-    at = {name: i for i, name in enumerate(header)}
-    return [at[name] for name in names]
+    """The cell index of each name in ``header``, which must name each once."""
+    for name in names:
+        if header.count(name) > 1:
+            raise InputFormatError(f"header names column {name!r} twice", line=1)
+    return [header.index(name) for name in names]
 
 
 def json_object(source: str | Path, what: str) -> dict:
@@ -155,3 +158,11 @@ def json_object(source: str | Path, what: str) -> dict:
     if not isinstance(value, dict):
         raise InputFormatError(f"{what} must be a JSON object", path=str(source))
     return value
+
+
+def only_keys(obj: dict, known: frozenset[str] | set[str], what: str) -> None:
+    """Refuse a JSON object ``obj`` with keys outside ``known``: a misspelt key
+    would otherwise leave its field at the default without a word."""
+    unknown = obj.keys() - known
+    if unknown:
+        raise InputFormatError(f"{what} has keys it does not read: {sorted(unknown)}")

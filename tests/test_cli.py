@@ -398,6 +398,30 @@ def test_industry_list_row_without_name_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option, text, column",
+    [
+        ("--industry-scores", "industry_id,score,score\n1,0.2,0.9\n", "score"),
+        ("--industries", "industry_id,industry_id,name\n1,2,Mining\n", "industry_id"),
+        ("--expert", "code,score,score\n2-01,0.2,0.9\n", "score"),
+        ("--taxonomy", "code,title,description,excluded,title\n2,A,d,false,B\n", "title"),
+    ],
+    ids=["industry scores", "industry list", "expert panel", "taxonomy"],
+)
+def test_header_that_names_a_read_column_twice_exits_3(tmp_path, capsys, option, text, column):
+    # Which of the two cells is meant cannot be told, so neither is read.
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    if option == "--industries":
+        out = tmp_path / "out.csv"
+        argv = ["industry", "--intensity", INTENSITY, "--scores", SCORES, "--out", str(out)]
+    else:
+        argv = ["validate"]
+    assert main([*argv, option, str(bad)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"{bad}:1: header names column {column!r} twice" in captured.out + captured.err
+
+
 def test_industry_list_lacking_an_industry_of_the_matrix_exits_3(tmp_path, capsys):
     names = tmp_path / "industries.csv"
     names.write_text("industry_id,name\n1,Mining\n2,Energy\n5,Trade\n")
@@ -608,26 +632,74 @@ def test_annotate_has_no_full_precision_option(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "contour"])
 @pytest.mark.parametrize("rho", ["inf", "-inf", "nan"])
 def test_non_finite_rho_is_input_error(tmp_path, capsys, command, rho):
+    # The decoder reads Infinity and NaN; the scenario reader refuses them.
+    sector = {"id": "a", "share": 1.0, "exposure": 0.5, "delta": 0.1}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"rho": float(rho), "sectors": [sector]}))
     out = tmp_path / "out"
-    code = main([command, "--scenario", SCENARIO, f"--rho={rho}", "--out", str(out)])
-    assert code == EXIT_INPUT
-    assert "--rho" in capsys.readouterr().err
+    assert main([command, "--scenario", str(scenario), "--out", str(out)]) == EXIT_INPUT
+    assert f"{scenario}: rho {float(rho)!r} is not a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "contour"])
-def test_rho_on_a_tabulated_law_is_config_error(tmp_path, capsys, command):
-    law = {"kind": "tabulated", "points": [[0.0, 1.0], [1.0, 2.0]]}
-    sector = {"id": "a", "share": 1.0, "exposure": 0.5, "delta": 0.1}
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({"law": law, "sectors": [sector]}))
+def test_rho_is_not_an_option(tmp_path, capsys, command):
+    # The scenario file is the one source of rho.
     out = tmp_path / "out"
-    argv = [command, "--scenario", str(scenario), "--out", str(out)]
-    assert main([*argv, "--rho", "5"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "--rho applies to an exponential law only" in err and str(scenario) in err
+    with pytest.raises(SystemExit) as err:
+        main([command, "--scenario", SCENARIO, "--rho", "2", "--out", str(out)])
+    assert err.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --rho 2" in capsys.readouterr().err
     assert not out.exists()
-    assert main(argv) == EXIT_OK
+
+
+SECTOR = {"id": "a", "share": 1.0, "exposure": 0.5, "delta": 0.1}
+TABULATED = {"kind": "tabulated", "points": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "contour", "validate"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"rh0": 3.0, "sectors": [SECTOR]}, "scenario has keys it does not read: ['rh0']"),
+        (
+            {"law": {"kind": "exponential", "rho": 2.0}, "sectors": [SECTOR]},
+            "growth law {'kind': 'exponential', 'rho': 2.0} is not 'exponential' or tabulated",
+        ),
+        (
+            {"rho": 2.0, "law": TABULATED, "sectors": [SECTOR]},
+            "scenario with a tabulated law has keys it does not read: ['rho']",
+        ),
+        (
+            {"sectors": [{**SECTOR, "baseline_output": 30, "dleta": 0.2}]},
+            "sector 'a' has keys it does not read: ['baseline_output', 'dleta']",
+        ),
+        (
+            {"damage_kappa": 0.5, "sectors": [{"id": "a", "share": 1.0, "exposure": 0.5,
+                                               "detla": 0.3}]},
+            "scenario has keys it does not read: ['damage_kappa']",
+        ),
+        (
+            {"law": {**TABULATED, "extrapolate": True}, "sectors": [SECTOR]},
+            "tabulated law has keys it does not read: ['extrapolate']",
+        ),
+        (
+            {"sectors": [{k: v for k, v in SECTOR.items() if k != "id"}]},
+            "sector 1 needs a non-empty string id, got None",
+        ),
+    ],
+    ids=["top-level key", "exponential law object", "rho beside a tabulated law",
+         "baseline output and sector key", "damage kappa", "tabulated law key", "no id"],
+)
+def test_scenario_keys_it_does_not_read_are_refused(tmp_path, capsys, command, config, message):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [command, "--scenario", str(scenario)]
+    assert main(argv if command == "validate" else [*argv, "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"{scenario}: {message}" in captured.out + captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config", [{"rho": "abc", "sectors": []}, [1]])
@@ -673,7 +745,8 @@ def test_sectors_without_exposure_read_the_industry_scores(tmp_path, industry_sc
         (SECTORS, slice(-1), EXIT_INPUT, "{scores}: no score for sectors ['15'] of scenario"),
         (SECTORS, ["16,0.5"], EXIT_INPUT, "{scores}: ids ['16'] are no sector without an"),
         (SECTORS, None, EXIT_INPUT, "{scenario}: sector '1' needs an exposure"),
-        ("MIX", None, EXIT_INPUT, "{scenario}: sector 'a' has an occupation_mix"),
+        ("MIX", None, EXIT_INPUT,
+         "{scenario}: sector 'a' has keys it does not read: ['occupation_mix']"),
     ],
     ids=["every sector has an exposure", "missing id", "extra id", "no industry scores",
          "leftover occupation mix"],
@@ -774,6 +847,8 @@ def test_validate_reports_orphan_with_line(tmp_path, capsys):
         {"kind": "scripted", "answers": {"2-01": "E1"}},
         {"kind": "scripted", "answers": {"9-99": ["E1"]}},
         ["E1"],
+        {"kind": "cycle", "answers": ["E1"], "answer": "E3", "extra": 1},
+        {"kind": "fixed", "answer": "E1", "answers": ["E2"]},
     ],
 )
 def test_malformed_mock_config_is_input_error(tmp_path, capsys, config):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -380,6 +382,28 @@ def test_demo_scenario_loads():
     assert sum(s.output_share for s in sectors) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_every_scenario_the_repository_generates_loads(tmp_path):
+    """The bundled scenarios and the benchmark's 1,606-sector one: a reader
+    change that refuses one of them fails here, not in a benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    full = gen.make_full_taxonomy_inputs(1, tmp_path / "full")["scenario"]
+    industry = tmp_path / "industry.csv"
+    argv = ["industry", "--intensity", str(fixture_path("demo_intensity15x63.csv")),
+            "--scores", str(fixture_path("medium63_scores.csv")), "--out", str(industry)]
+    assert main(argv) == EXIT_OK
+    for source, industry_scores, count in (
+        (fixture_path("demo_scenario.json"), None, 15),
+        (fixture_path("demo_sectors.json"), industry, 15),
+        (full, None, 1606),
+    ):
+        sectors, law = load_scenario(source, industry_scores)
+        assert len(sectors) == count and isinstance(law, ExponentialGrowth)
+
+
 def _write(path, config) -> str:
     path.write_text(json.dumps(config) if not isinstance(config, str) else config)
     return str(path)
@@ -401,7 +425,7 @@ def test_scenario_occupation_mix(tmp_path):
         ("both", {"id": "a", "share": 1.0, "delta": 0.1, "exposure": 0.3, "occupation_mix": mix}),
     ):
         path = _write(tmp_path / f"{name}.json", {"sectors": [sector]})
-        refused = "^" + re.escape(f"{path}: sector 'a' has an occupation_mix")
+        refused = "^" + re.escape(f"{path}: sector 'a' has keys it does not read: ['occupation_mix']")
         for industry_scores in (None, scores):
             with pytest.raises(InputFormatError, match=refused):
                 load_scenario(path, industry_scores)
@@ -409,8 +433,11 @@ def test_scenario_occupation_mix(tmp_path):
 
 def test_sectors_without_exposure_take_their_industry_score(tmp_path):
     path = _write(tmp_path / "scenario.json", {
-        **UNEXPOSED, "damage_kappa": 0.5,
-        "sectors": [{"id": "a", "share": 0.5}, {"id": "b", "share": 0.5, "exposure": 0.25}],
+        **UNEXPOSED,
+        "sectors": [
+            {"id": "a", "share": 0.5, "delta": 0.15},
+            {"id": "b", "share": 0.5, "exposure": 0.25, "delta": 0.125},
+        ],
     })
     scores = _write(tmp_path / "industry.csv", "industry_id,score\na,0.3\n")
     sectors, law = load_scenario(path, scores)
@@ -447,49 +474,29 @@ def test_a_sector_without_exposure_needs_industry_scores(tmp_path):
 
 
 def test_scenario_damage_kappa(tmp_path):
-    path = tmp_path / "scenario.json"
-    path.write_text(
-        json.dumps(
-            {
-                "rho": 1.0,
-                "damage_kappa": 0.5,
-                "sectors": [{"id": "a", "share": 1.0, "exposure": 0.4}],
-            }
-        )
-    )
-    sectors, _ = load_scenario(path)
-    assert sectors[0].damage_ratio == pytest.approx(0.2)
+    # Damage ratios are not derived from exposures: a kappa is refused, not applied.
+    sector = {"id": "a", "share": 1.0, "exposure": 0.4}
+    for name, config in (
+        ("alone", {"damage_kappa": 0.5, "sectors": [sector]}),
+        ("beside_deltas", {"damage_kappa": 0.5, "sectors": [{**sector, "delta": 0.1}]}),
+    ):
+        path = _write(tmp_path / f"{name}.json", config)
+        refused = "^" + re.escape(f"{path}: scenario has keys it does not read: ['damage_kappa']")
+        with pytest.raises(InputFormatError, match=refused):
+            load_scenario(path)
 
 
 def test_scenario_baseline_outputs(tmp_path):
-    path = tmp_path / "scenario.json"
-    path.write_text(
-        json.dumps(
-            {
-                "sectors": [
-                    {"id": "a", "baseline_output": 30, "exposure": 0.1, "delta": 0.0},
-                    {"id": "b", "baseline_output": 70, "exposure": 0.2, "delta": 0.0},
-                ]
-            }
-        )
-    )
-    sectors, _ = load_scenario(path)
-    assert [s.output_share for s in sectors] == pytest.approx([0.3, 0.7])
-
-    # A negative output with a positive total gives a negative share.
-    negative = tmp_path / "negative.json"
-    negative.write_text(
-        json.dumps(
-            {
-                "sectors": [
-                    {"id": "a", "baseline_output": -10, "exposure": 0.1, "delta": 0.0},
-                    {"id": "b", "baseline_output": 110, "exposure": 0.2, "delta": 0.0},
-                ]
-            }
-        )
-    )
-    with pytest.raises(InputFormatError, match="^" + re.escape(f"{negative}: ")):
-        load_scenario(negative)
+    # Shares are given as shares: a baseline output is refused, not converted.
+    sector = {"id": "a", "exposure": 0.1, "delta": 0.0}
+    for name, spec in (
+        ("alone", {**sector, "baseline_output": 30}),
+        ("beside_a_share", {**sector, "baseline_output": 30, "share": 1.0}),
+    ):
+        path = _write(tmp_path / f"{name}.json", {"sectors": [spec]})
+        refused = "^" + re.escape(f"{path}: sector 'a' has keys it does not read: ['baseline_output']")
+        with pytest.raises(InputFormatError, match=refused):
+            load_scenario(path)
 
 
 def test_scenario_errors(tmp_path):
@@ -511,7 +518,6 @@ def test_scenario_errors(tmp_path):
         load_scenario(not_json)
 
     sector = {"id": "a", "share": 1.0, "exposure": 0.4, "delta": 0.1}
-    mixed = {"id": "a", "share": 1.0, "occupation_mix": {"2-01": "abc"}, "delta": 0.1}
     half = {**sector, "share": 0.5}
     malformed = {
         "rho": {"rho": "abc", "sectors": [sector]},
@@ -521,32 +527,25 @@ def test_scenario_errors(tmp_path):
         "short_point": {"law": {"kind": "tabulated", "points": [[0]]}, "sectors": [sector]},
         "bad_point": {"law": {"kind": "tabulated", "points": [["x", 1]]}, "sectors": [sector]},
         "nan_point": {"law": {"kind": "tabulated", "points": [[0, "nan"]]}, "sectors": [sector]},
-        "kappa": {"damage_kappa": "abc", "sectors": [{"id": "a", "share": 1.0, "exposure": 0.4}]},
-        "mix_weight": {"sectors": [mixed]},
-        "mix_shape": {"sectors": [{**mixed, "occupation_mix": [1]}]},
-        # Industry scores meet sectors by id: a repeat would take one score twice.
+        "exponential_object": {"law": {"kind": "exponential"}, "sectors": [sector]},
+        "top_level_key": {"kappa": 0.5, "sectors": [sector]},
+        "sector_key": {"sectors": [{**sector, "mix": {"2-01": 1.0}}]},
+        "no_share": {"sectors": [{"id": "a", "exposure": 0.4, "delta": 0.1}]},
+        # Industry scores meet sectors by id: a repeat would take one score twice,
+        # and an id that is not a string would meet them by its spelling.
         "repeated_id": {"sectors": [half, half]},
-        "repeated_default_id": {"sectors": [{**half, "id": "2"}, {**half, "id": 2}]},
+        "empty_id": {"sectors": [{**sector, "id": ""}]},
+        "numeric_id": {"sectors": [{**half, "id": "2"}, {**half, "id": 2}]},
     }
     for name, config in malformed.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
         with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}: ")):
             load_scenario(path)
-    for name in ("repeated_id", "repeated_default_id"):
-        with pytest.raises(InputFormatError, match="sector id '[a2]' appears more than once"):
-            load_scenario(tmp_path / f"{name}.json")
-
-
-def test_rho_override(tmp_path):
-    path = tmp_path / "scenario.json"
-    path.write_text(
-        json.dumps(
-            {"rho": 1.0, "sectors": [{"id": "a", "share": 1.0, "exposure": 0.4, "delta": 0.1}]}
-        )
-    )
-    _, law = load_scenario(path, rho_override=3.0)
-    assert law.rho == 3.0
+    with pytest.raises(InputFormatError, match="sector id 'a' appears more than once"):
+        load_scenario(tmp_path / "repeated_id.json")
+    with pytest.raises(InputFormatError, match="sector 2 needs a non-empty string id, got 2$"):
+        load_scenario(tmp_path / "numeric_id.json")
 
 
 def test_industry_scores_on_a_scenario_where_every_sector_has_an_exposure_are_refused(tmp_path):
@@ -557,15 +556,3 @@ def test_industry_scores_on_a_scenario_where_every_sector_has_an_exposure_are_re
         load_scenario(path, scores)
     sectors, _ = load_scenario(path)
     assert sectors[0].exposure == 0.4
-
-
-def test_rho_override_on_a_tabulated_law_is_refused(tmp_path):
-    path = tmp_path / "scenario.json"
-    law = {"kind": "tabulated", "points": [[0.0, 1.0], [1.0, 2.0]]}
-    path.write_text(
-        json.dumps({"law": law, "sectors": [{"id": "a", "share": 1.0, "exposure": 0.4, "delta": 0.1}]})
-    )
-    with pytest.raises(ConfigError, match="--rho applies to an exponential law only"):
-        load_scenario(path, rho_override=3.0)
-    _, unchanged = load_scenario(path)
-    assert isinstance(unchanged, TabulatedGrowth)

@@ -93,10 +93,8 @@ CASES = {
     ("stats", "--full-precision"): ([], FULL),
     # SCENARIO gives every sector its exposure, so industry scores are refused.
     ("simulate", "--industry-scores"): ([], ["--industry-scores", "INDUSTRY_SCORES"]),
-    ("simulate", "--rho"): ([], ["--rho", "2"]),
     ("simulate", "--full-precision"): ([], FULL),
     ("contour", "--industry-scores"): ([], ["--industry-scores", "INDUSTRY_SCORES"]),
-    ("contour", "--rho"): ([], ["--rho", "2"]),
     ("contour", "--delta-grid"): ([], ["--delta-grid", "0:0.5:3"]),
     ("contour", "--ratio-grid"): ([], ["--ratio-grid", "0:1:3"]),
     ("contour", "--full-precision"): ([], FULL),
