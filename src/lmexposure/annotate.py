@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from contextvars import ContextVar, copy_context
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
@@ -24,7 +25,8 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from . import MODEL_COLUMNS
 from .errors import (
-    ComputationError, InputFormatError, LmExposureError, json_object, located, only_keys, open_text
+    ComputationError, InputFormatError, LmExposureError, json_object, located, only_keys, open_text,
+    unique_keys,
 )
 from .taxonomy import OccupationCode, OccupationNode, Taxonomy
 
@@ -136,22 +138,6 @@ class AnnotationRun:
             raise ComputationError("samples and raw_responses must align one-to-one")
 
 
-def _collect_sample(
-    client: ClassifierClient, prompt_text: str, max_retries: int
-) -> tuple[ExposureCategory, str]:
-    attempts = max_retries + 1
-    last_error: Exception | None = None
-    for _ in range(attempts):
-        try:
-            raw = client.complete(prompt_text, {})
-            return parse_category(raw), raw
-        except Exception as exc:  # unparseable response or transport failure
-            last_error = exc
-    raise AnnotationError(
-        f"sample failed after {attempts} attempts: {last_error}"
-    ) from last_error
-
-
 def annotate_nodes(
     client: ClassifierClient,
     nodes: Iterable[OccupationNode],
@@ -169,7 +155,10 @@ def annotate_nodes(
     A ``"concurrent"`` client gets ``in_flight`` workers across all
     occupations, the calling thread among them; any other client runs the
     jobs in order on the calling thread. Results are reassembled by index;
-    the first failed sample stops the jobs not yet started.
+    the first failed sample, an ``AnnotationError`` naming the model, the
+    occupation and the sample, stops the jobs not yet started. Called from
+    a job of another work queue, as ``annotate`` does for each model, the
+    queue shares that queue's stop: a failure in one model stops them all.
     """
     if n_samples < 1:
         raise ComputationError(f"n_samples must be >= 1, got {n_samples}")
@@ -177,17 +166,40 @@ def annotate_nodes(
         raise ComputationError(f"in_flight must be >= 1, got {in_flight}")
     nodes = list(nodes)
     prompts = [render_prompt(node, rubric) for node in nodes]
-    concurrent = getattr(client, "capability", "serial") == "concurrent"
-    results = _run_queue(
-        lambda job: _collect_sample(client, prompts[job // n_samples], max_retries),
-        len(prompts) * n_samples,
-        in_flight if concurrent else 1,
-    )
+
+    def sample(job: int) -> tuple[ExposureCategory, str]:
+        prompt_text = prompts[job // n_samples]
+        last_error: Exception | None = None
+        for _ in range(max_retries + 1):
+            try:
+                raw = client.complete(prompt_text, {})
+                return parse_category(raw), raw
+            except Exception as exc:  # unparseable response or transport failure
+                last_error = exc
+        node, index = divmod(job, n_samples)
+        raise AnnotationError(
+            f"model {model_id!r}, occupation {nodes[node].code.raw}, sample {index + 1}"
+            f" of {n_samples}: failed after {max_retries + 1} attempts: {last_error}"
+        ) from last_error
+
+    results = _run_queue(sample, len(prompts) * n_samples, in_flight if _concurrent(client) else 1)
     chunks = [results[i : i + n_samples] for i in range(0, len(results), n_samples)]
     return [
         AnnotationRun(model_id, node.code, [cat for cat, _ in chunk], [raw for _, raw in chunk])
         for node, chunk in zip(nodes, chunks)
     ]
+
+
+def _concurrent(client: ClassifierClient) -> bool:
+    """Whether ``client`` declares itself safe to call from several threads."""
+    return getattr(client, "capability", "serial") == "concurrent"
+
+
+# (lock, failures) of the work queue whose job is running: a queue started
+# inside that job shares them, and so stops when any queue of the tree fails.
+_enclosing_queue: ContextVar[tuple[threading.Lock, list] | None] = ContextVar(
+    "_enclosing_queue", default=None
+)
 
 
 def _run_queue(task: Callable[[int], object], n_jobs: int, workers: int) -> list:
@@ -196,14 +208,17 @@ def _run_queue(task: Callable[[int], object], n_jobs: int, workers: int) -> list
     ``workers - 1`` helper threads (none for one worker, which runs the jobs
     in order) take job indices from one counter under a lock. The first
     failure, or an interrupt of the calling thread, stops every worker from
-    taking a new job; it is re-raised once the helpers have joined.
+    taking a new job; it is re-raised once the helpers have joined. A queue
+    run inside a job of another queue shares that queue's lock and failure
+    list, so the first failure in either stops both, and both re-raise it.
     """
+    stop = _enclosing_queue.get() or (threading.Lock(), [])
+    lock, failures = stop
     results: list = [None] * n_jobs
-    lock = threading.Lock()
     jobs = iter(range(n_jobs))
-    failures: list[BaseException] = []
 
     def work() -> None:
+        _enclosing_queue.set(stop)  # in this worker's own context, never the caller's
         while True:
             with lock:
                 job = None if failures else next(jobs, None)
@@ -220,7 +235,7 @@ def _run_queue(task: Callable[[int], object], n_jobs: int, workers: int) -> list
     for helper in helpers:
         helper.start()
     try:
-        work()
+        copy_context().run(work)
         for helper in helpers:
             helper.join()
     except BaseException as exc:  # interrupted outside a job: stop the helpers too
@@ -390,18 +405,19 @@ class AnnotationStore:
 def read_annotation_store(source: str | Path) -> list[AnnotationRun]:
     """Parse a JSON-lines annotation record file back into runs.
 
-    A record that is not an object, lacks a field, has a model id outside
-    ``MODEL_COLUMNS``, a malformed code, an unknown category, non-string raw
-    responses or a sample count that differs from its responses raises
-    ``InputFormatError`` at ``path:line``.
+    A record that is not an object, repeats a key, lacks a field, has a model
+    id outside ``MODEL_COLUMNS``, a malformed code, an unknown category,
+    non-string raw responses or a sample count that differs from its
+    responses raises ``InputFormatError`` at ``path:line``.
     """
     runs: list[AnnotationRun] = []
+    decode = json.JSONDecoder(object_pairs_hook=unique_keys).decode  # one for all lines
     with open_text(source) as handle, located(source):
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                runs.append(_record_to_run(json.loads(line)))
+                runs.append(_record_to_run(decode(line)))
             except (KeyError, TypeError, ValueError, RecursionError, LmExposureError) as exc:
                 raise InputFormatError(f"bad annotation record: {exc}", line=line_no) from None
     return runs

@@ -59,7 +59,10 @@ def _annotate_arguments(p: argparse.ArgumentParser) -> None:
         "--in-flight",
         type=int,
         default=1,
-        help="requests in flight across all occupations of one model, for concurrent clients",
+        help=(
+            "requests in flight across all occupations of one model, for concurrent"
+            " clients; the models of such clients run side by side, each with this budget"
+        ),
     )
     p.add_argument("--rubric", help="file with replacement rubric text")
     p.add_argument(

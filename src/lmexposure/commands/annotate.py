@@ -23,12 +23,34 @@ def _load_live_client(spec: str, model_id: str) -> ann.ClassifierClient:
         raise InputFormatError(
             f"{CLIENT_ENV_VAR} must look like 'package.module:factory', got {spec!r}"
         )
-    module = importlib.import_module(module_name)
-    factory = getattr(module, factory_name)
+    try:
+        module = importlib.import_module(module_name)
+    except ModuleNotFoundError as exc:
+        # A module that the shim itself imports is missing: not the spec's fault.
+        if exc.name is None or not f"{module_name}.".startswith(f"{exc.name}."):
+            raise
+        raise InputFormatError(
+            f"{CLIENT_ENV_VAR} names module {module_name!r}, which is not found, got {spec!r}"
+        ) from None
+    factory = getattr(module, factory_name, None)
+    if factory is None:
+        raise InputFormatError(
+            f"{CLIENT_ENV_VAR} names factory {factory_name!r}, which module {module_name!r}"
+            f" lacks, got {spec!r}"
+        )
     return factory(model_id)
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    """Label every annotatable occupation with each model, then write the store.
+
+    Every model's client is built before the first request. When every
+    client is ``"concurrent"``, the models run side by side, each with its
+    own ``--in-flight`` budget, as each model is a separate service; else
+    they run one after another on this thread. The first sample of any model
+    that exhausts ``--max-retries`` stops every model from starting a new
+    request. Records follow ``--models`` order either way.
+    """
     out = Path(args.out)
     live_spec = os.environ.get(CLIENT_ENV_VAR)
     model_ids = [m.strip() for m in args.models.split(",") if m.strip()]
@@ -69,23 +91,25 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     if not nodes:
         raise ComputationError("no annotatable occupations at the requested level")
 
-    runs: list[ann.AnnotationRun] = []
-    for model_id in model_ids:
-        if args.mock:
-            client = ann.load_mock_client(args.mock, taxonomy)
-        else:
-            client = _load_live_client(live_spec, model_id)
-        runs.extend(
-            ann.annotate_nodes(
-                client,
-                nodes,
-                model_id=model_id,
-                rubric=rubric,
-                n_samples=args.n_samples,
-                max_retries=args.max_retries,
-                in_flight=args.in_flight,
-            )
-        )
+    if args.mock:
+        clients = [ann.load_mock_client(args.mock, taxonomy) for _ in model_ids]
+    else:
+        clients = [_load_live_client(live_spec, model_id) for model_id in model_ids]
+    side_by_side = all(ann._concurrent(client) for client in clients)
+    per_model = ann._run_queue(
+        lambda i: ann.annotate_nodes(
+            clients[i],
+            nodes,
+            model_id=model_ids[i],
+            rubric=rubric,
+            n_samples=args.n_samples,
+            max_retries=args.max_retries,
+            in_flight=args.in_flight,
+        ),
+        len(model_ids),
+        len(model_ids) if side_by_side else 1,
+    )
+    runs = [run for model_runs in per_model for run in model_runs]
 
     out.parent.mkdir(parents=True, exist_ok=True)
     clock = ann.LogicalClock() if args.mock else ann.utc_now_iso

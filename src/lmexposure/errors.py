@@ -149,15 +149,27 @@ def cells_at(header: list[str], names: tuple[str, ...]) -> list[int]:
 
 
 def json_object(source: str | Path, what: str) -> dict:
-    """The JSON object in file ``source``; anything else names the file."""
+    """The JSON object in file ``source``; anything else names the file, and
+    so does an object that repeats a key."""
     try:
-        with open_text(source) as handle:
-            value = json.load(handle)
+        with open_text(source) as handle, located(source):
+            value = json.load(handle, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputFormatError(f"invalid {what} JSON: {exc}", path=str(source)) from None
     if not isinstance(value, dict):
         raise InputFormatError(f"{what} must be a JSON object", path=str(source))
     return value
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` of the JSON readers: ``dict(pairs)``, refusing a
+    repeated key, of which ``json`` would silently keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise InputFormatError(f"JSON object names key {repeated!r} twice")
+    return obj
 
 
 def only_keys(obj: dict, known: frozenset[str] | set[str], what: str) -> None:

@@ -21,6 +21,7 @@ from lmexposure.annotate import (
     LogicalClock,
     NoCategoryFound,
     ScriptedMockClient,
+    _run_queue,
     annotate_nodes,
     load_mock_client,
     parse_category,
@@ -118,8 +119,10 @@ def test_cycle_mock_order_preserved():
 
 def test_retry_exhaustion_fails_run():
     client = CycleMockClient(["nonsense"])
-    with pytest.raises(AnnotationError):
-        annotate_nodes(client, [_node()], model_id="m", n_samples=1, max_retries=2)
+    node = _node()
+    message = f"model 'm', occupation {node.code.raw}, sample 1 of 1: failed after 3 attempts"
+    with pytest.raises(AnnotationError, match=message):
+        annotate_nodes(client, [node], model_id="m", n_samples=1, max_retries=2)
 
 
 def test_retry_then_success_never_inflates_samples():
@@ -302,22 +305,23 @@ def test_interrupt_on_the_calling_thread_stops_the_queue():
     assert threading.active_count() == threads_before  # the helpers have joined
 
 
+class Echo:
+    """Answers with the category named by the occupation's number."""
+
+    capability = "concurrent"
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.calls = 0
+
+    def complete(self, prompt_text, decode_config):
+        with self._lock:
+            self.calls += 1
+        title = prompt_text.split("Occupation title: ")[1].split("\n")[0]
+        return f"E{int(title.split()[-1]) % 4}"
+
+
 def test_work_queue_takes_each_job_once_under_contention():
-    class Echo:
-        """Answers with the category named by the occupation's number."""
-
-        capability = "concurrent"
-
-        def __init__(self):
-            self._lock = threading.Lock()
-            self.calls = 0
-
-        def complete(self, prompt_text, decode_config):
-            with self._lock:
-                self.calls += 1
-            title = prompt_text.split("Occupation title: ")[1].split("\n")[0]
-            return f"E{int(title.split()[-1]) % 4}"
-
     client = Echo()
     nodes = _leaf_nodes([f"Title {i}" for i in range(40)])
     interval = sys.getswitchinterval()
@@ -329,6 +333,32 @@ def test_work_queue_takes_each_job_once_under_contention():
     # A job taken twice adds a call; a job skipped leaves a hole in the results.
     assert client.calls == 40 * 25
     assert [run.samples for run in runs] == [[ExposureCategory(f"E{i % 4}")] * 25 for i in range(40)]
+
+
+def test_queues_of_several_models_take_each_job_once_under_contention():
+    clients = [Echo() for _ in range(3)]
+    nodes = _leaf_nodes([f"Title {i}" for i in range(40)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        per_model = _run_queue(
+            lambda i: annotate_nodes(
+                clients[i], nodes, model_id=f"m{i}", n_samples=10, in_flight=8
+            ),
+            3,
+            3,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    # Three queues of eight workers share one lock and one failure list.
+    assert [client.calls for client in clients] == [40 * 10] * 3
+    assert [[run.model_id for run in runs] for runs in per_model] == [
+        [f"m{i}"] * 40 for i in range(3)
+    ]
+    for runs in per_model:
+        assert [run.samples for run in runs] == [
+            [ExposureCategory(f"E{i % 4}")] * 10 for i in range(40)
+        ]
 
 
 # --- scripted mock and config loading ------------------------------------------

@@ -7,12 +7,17 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
+import types
+import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import lmexposure
-from lmexposure import runio, taxonomy
+from lmexposure import annotate, runio, taxonomy
 from lmexposure.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -702,6 +707,28 @@ def test_scenario_keys_it_does_not_read_are_refused(tmp_path, capsys, command, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "contour", "validate"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"rho": 2.0, "rho": 1.0, "sectors": [%s]}' % json.dumps(SECTOR), "rho"),
+        ('{"sectors": [{"id": "a", "share": 1.0, "exposure": 0.5, "delta": 0.1, "delta": 0.9}]}',
+         "delta"),
+    ],
+    ids=["top level", "sector"],
+)
+def test_a_scenario_that_repeats_a_key_exits_3(tmp_path, capsys, command, text, key):
+    # json keeps the last of a repeated key, so these ran with rho 1 and delta 0.9.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, "--scenario", str(scenario)]
+    assert main(argv if command == "validate" else [*argv, "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"{scenario}: JSON object names key {key!r} twice" in captured.out + captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [{"rho": "abc", "sectors": []}, [1]])
 def test_malformed_scenario_is_input_error(tmp_path, capsys, config):
     scenario = tmp_path / "scenario.json"
@@ -862,6 +889,18 @@ def test_malformed_mock_config_is_input_error(tmp_path, capsys, config):
     assert not out.exists()
 
 
+def test_a_mock_configuration_that_repeats_a_key_exits_3(tmp_path, capsys):
+    mock = tmp_path / "mock.json"
+    mock.write_text('{"kind": "fixed", "answer": "E1", "answer": "E3"}')
+    assert main(["validate", "--taxonomy", TAXONOMY, "--mock", str(mock)]) == EXIT_INPUT
+    assert f"mock: {mock}: JSON object names key 'answer' twice" in capsys.readouterr().out
+    out = tmp_path / "store.jsonl"
+    code = main(["annotate", "--taxonomy", TAXONOMY, "--mock", str(mock), "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert f"{mock}: JSON object names key 'answer' twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scripted_mock_with_duplicate_titles_is_input_error(tmp_path, capsys):
     taxonomy = tmp_path / "taxonomy.csv"
     taxonomy.write_text(
@@ -911,6 +950,16 @@ def test_bad_annotation_record_is_input_error_with_line(tmp_path, capsys, record
     assert not out.exists()
     assert main(["validate", "--annotations", str(store)]) == EXIT_INPUT
     assert f"annotations: {store}:2: bad annotation record: {message}" in capsys.readouterr().out
+
+
+def test_an_annotation_record_that_repeats_a_key_exits_3_at_its_line(tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    repeated = json.dumps(GOOD_RECORD)[:-1] + ', "samples": ["E3"]}'
+    store.write_text(json.dumps(GOOD_RECORD) + "\n" + repeated + "\n")
+    assert main(["validate", "--annotations", str(store)]) == EXIT_INPUT
+    assert (
+        f"annotations: {store}:2: bad annotation record: JSON object names key 'samples' twice"
+    ) in capsys.readouterr().out
 
 
 def test_validate_reports_non_utf8_input(tmp_path, capsys):
@@ -1360,6 +1409,225 @@ def test_env_client_shim(tmp_path, monkeypatch):
     )
     record = json.loads(store.read_text().splitlines()[0])
     assert record["samples"] == ["E2", "E2"]
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ("nosuch.mod:make", "module 'nosuch.mod', which is not found"),
+        ("json.nosuch:make", "module 'json.nosuch', which is not found"),
+        ("json:nosuchfactory", "factory 'nosuchfactory', which module 'json' lacks"),
+    ],
+)
+def test_env_client_spec_naming_nothing_exits_3(tmp_path, capsys, monkeypatch, spec, named):
+    monkeypatch.setenv(CLIENT_ENV_VAR, spec)
+    store = tmp_path / "store.jsonl"
+    argv = ["annotate", "--taxonomy", TAXONOMY, "--models", "glm", "--out", str(store)]
+    assert main(argv) == EXIT_INPUT
+    assert f"{CLIENT_ENV_VAR} names {named}, got {spec!r}" in capsys.readouterr().err
+    assert not store.exists()
+
+
+def test_env_client_shim_that_fails_to_import_is_not_hidden(tmp_path, monkeypatch):
+    shim = tmp_path / "brokenshim"
+    shim.mkdir()
+    (shim / "__init__.py").write_text("")
+    (shim / "client.py").write_text("import nosuchdependency\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setenv(CLIENT_ENV_VAR, "brokenshim.client:make")
+    store = tmp_path / "store.jsonl"
+    with pytest.raises(ModuleNotFoundError, match="nosuchdependency"):
+        main(["annotate", "--taxonomy", TAXONOMY, "--models", "glm", "--out", str(store)])
+    assert not store.exists()
+
+
+# --- models side by side -------------------------------------------------------
+
+
+class CallLog:
+    """Every call of every model's client, and the requests in flight."""
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.calls = []  # the model of each call, in start order
+        self.in_flight = Counter()
+        self.peak = Counter()  # per model
+        self.total_peak = 0
+        self.failed = False  # a failing model has given its answer
+
+    def wait(self, ready):
+        """Wait, under ``cond``, until ``ready()``; a scheduler that never gets
+        there costs the test a timeout, not a hang."""
+        assert self.cond.wait_for(ready, timeout=5), "the models did not overlap"
+
+
+class LoggedClient:
+    """Answers one category per (model, occupation), whichever call it is.
+
+    The samples of one occupation share one prompt, so answers keyed by the
+    prompt alone are the same whatever the order the threads send them in.
+    """
+
+    def __init__(self, model_id, log, capability, hold=None, answer=None):
+        self.model_id = model_id
+        self.log = log
+        self.capability = capability
+        self.hold = hold  # called under log.cond once the call is counted
+        self.answer = answer or (
+            lambda title: f"Category: E{zlib.crc32(f'{model_id}|{title}'.encode()) % 4}"
+        )
+
+    def complete(self, prompt_text, decode_config):
+        title = prompt_text.split("Occupation title: ")[1].split("\n")[0]
+        log, model = self.log, self.model_id
+        with log.cond:
+            log.calls.append(model)
+            log.in_flight[model] += 1
+            log.peak[model] = max(log.peak[model], log.in_flight[model])
+            log.total_peak = max(log.total_peak, sum(log.in_flight.values()))
+            log.cond.notify_all()
+            if self.hold:
+                self.hold(self)
+        try:
+            return self.answer(title)
+        finally:
+            with log.cond:
+                log.in_flight[model] -= 1
+                log.cond.notify_all()
+
+
+@pytest.fixture
+def client_hook(monkeypatch):
+    """Install ``make(model_id)`` as the live client factory of ``annotate``."""
+
+    def install(make):
+        monkeypatch.setitem(sys.modules, "loggedshim", types.SimpleNamespace(make=make))
+        monkeypatch.setenv(CLIENT_ENV_VAR, "loggedshim:make")
+
+    return install
+
+
+def _annotate_live(store, *options):
+    return main(
+        ["annotate", "--taxonomy", TAXONOMY, "--models", "glm,gpt4,internlm", "--n-samples", "2",
+         *options, "--out", str(store)]
+    )
+
+
+def _records(store):
+    return [
+        {k: v for k, v in json.loads(line).items() if k != "timestamp"}
+        for line in store.read_text().splitlines()
+    ]
+
+
+def test_concurrent_models_run_side_by_side_each_within_in_flight(tmp_path, client_hook):
+    def until_all_have_started(client):
+        client.log.wait(lambda: len(client.log.peak) == 3)
+
+    side_by_side = CallLog()
+    client_hook(lambda m: LoggedClient(m, side_by_side, "concurrent", until_all_have_started))
+    assert _annotate_live(tmp_path / "a.jsonl", "--in-flight", "2") == EXIT_OK
+    assert max(side_by_side.peak.values()) <= 2
+    assert side_by_side.total_peak > 2
+
+    one_at_a_time = CallLog()
+    client_hook(lambda m: LoggedClient(m, one_at_a_time, "serial"))
+    assert _annotate_live(tmp_path / "b.jsonl", "--in-flight", "2") == EXIT_OK
+    assert one_at_a_time.total_peak == 1
+    assert len(side_by_side.calls) == len(one_at_a_time.calls) == 3 * 2 * 63
+    assert _records(tmp_path / "a.jsonl") == _records(tmp_path / "b.jsonl")
+
+
+def test_a_failed_model_stops_every_model(tmp_path, capsys, client_hook):
+    log = CallLog()
+
+    def until_the_others_are_busy(client):
+        log.wait(lambda: log.in_flight["glm"] == log.in_flight["internlm"] == 2)
+        log.failed = True
+        log.cond.notify_all()
+
+    def until_the_failure(client):
+        log.wait(lambda: log.failed)
+
+    def answer_after_the_failure(title):
+        time.sleep(0.1)  # the failure stops the queues long before this returns
+        return "E1"
+
+    def make(model_id):
+        if model_id == "gpt4":
+            return LoggedClient(model_id, log, "concurrent", until_the_others_are_busy,
+                                lambda title: "unclear")
+        return LoggedClient(model_id, log, "concurrent", until_the_failure,
+                            answer_after_the_failure)
+
+    client_hook(make)
+    store = tmp_path / "store.jsonl"
+    code = _annotate_live(store, "--in-flight", "2", "--max-retries", "0")
+    assert code == EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert "model 'gpt4', occupation 2-01, sample " in err
+    assert "of 2: failed after 1 attempts: no exposure category token" in err
+    # The two requests of each other model in flight at the failure, and no more.
+    assert Counter(model for model in log.calls if model != "gpt4") == {
+        "glm": 2, "internlm": 2
+    }
+    assert not store.exists()
+
+
+def test_a_factory_that_fails_for_one_model_costs_no_call(tmp_path, client_hook):
+    log = CallLog()
+
+    def make(model_id):
+        if model_id == "internlm":
+            raise RuntimeError("no credentials for internlm")
+        return LoggedClient(model_id, log, "concurrent")
+
+    client_hook(make)
+    store = tmp_path / "store.jsonl"
+    with pytest.raises(RuntimeError, match="no credentials"):
+        _annotate_live(store, "--in-flight", "4")
+    assert log.calls == []
+    assert not store.exists()
+
+
+def test_serial_mock_runs_its_models_in_order_on_the_calling_thread(tmp_path, monkeypatch):
+    calls = []
+    complete = annotate.ScriptedMockClient.complete
+
+    def logged(self, prompt_text, decode_config):
+        calls.append((id(self), threading.get_ident(), threading.active_count()))
+        return complete(self, prompt_text, decode_config)
+
+    monkeypatch.setattr(annotate.ScriptedMockClient, "complete", logged)
+    clients = []
+    load = annotate.load_mock_client
+    monkeypatch.setattr(
+        annotate, "load_mock_client", lambda *a: clients.append(load(*a)) or clients[-1]
+    )
+    threads_before = threading.active_count()
+    store = tmp_path / "store.jsonl"
+    argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "gpt4,glm,internlm",
+            "--n-samples", "2", "--in-flight", "8", "--out", str(store)]
+    assert main(argv) == EXIT_OK
+    assert [client for client, _, _ in calls] == [id(c) for c in clients for _ in range(2 * 63)]
+    assert {(thread, count) for _, thread, count in calls} == {
+        (threading.get_ident(), threads_before)
+    }
+    assert [r["model_id"] for r in _records(store)[::63]] == ["gpt4", "glm", "internlm"]
+
+
+def test_a_sample_that_exhausts_its_retries_names_model_code_and_sample(tmp_path, capsys):
+    mock = _write_mock(tmp_path, {"kind": "fixed", "answer": "unclear"})
+    store = tmp_path / "store.jsonl"
+    argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", mock, "--models", "internlm,glm",
+            "--n-samples", "3", "--max-retries", "1", "--out", str(store)]
+    assert main(argv) == EXIT_COMPUTE
+    assert (
+        "error: model 'internlm', occupation 2-01, sample 1 of 3: failed after 2 attempts: "
+        "no exposure category token in response 'unclear'"
+    ) in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_no_client_configured_is_config_error(tmp_path, monkeypatch):
