@@ -17,6 +17,7 @@ command it runs, once the options have passed those rules.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import sys
 
@@ -244,5 +245,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_COMPUTE
 
 
+def console_main() -> None:
+    """The process entry point: ``python -m lmexposure.cli`` and the ``lmexposure`` script.
+
+    ``main`` returns once every output is written and closed. Exit handlers,
+    thread joins and stream flushes still run after this; ``main`` itself,
+    which callers may run many times in one process, never freezes.
+    """
+    code = main()
+    gc.freeze()  # shutdown's collections then skip the heap the OS is about to free
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -23,6 +23,10 @@ def _load_live_client(spec: str, model_id: str) -> ann.ClassifierClient:
         raise InputFormatError(
             f"{CLIENT_ENV_VAR} must look like 'package.module:factory', got {spec!r}"
         )
+    if module_name.startswith("."):  # import_module has no package to resolve it against
+        raise InputFormatError(
+            f"{CLIENT_ENV_VAR} names module {module_name!r}, which is relative, got {spec!r}"
+        )
     try:
         module = importlib.import_module(module_name)
     except ModuleNotFoundError as exc:
@@ -38,7 +42,13 @@ def _load_live_client(spec: str, model_id: str) -> ann.ClassifierClient:
             f"{CLIENT_ENV_VAR} names factory {factory_name!r}, which module {module_name!r}"
             f" lacks, got {spec!r}"
         )
-    return factory(model_id)
+    client = factory(model_id)
+    if not callable(getattr(client, "complete", None)):
+        raise InputFormatError(
+            f"{CLIENT_ENV_VAR} names factory {factory_name!r}, which returned a"
+            f" {type(client).__name__!r} with no callable 'complete', got {spec!r}"
+        )
+    return client
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:

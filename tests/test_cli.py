@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -1241,6 +1243,64 @@ def test_no_handler_imports_the_cli_module(tmp_path):
     )
 
 
+# --- process entry point ---------------------------------------------------------
+
+
+def _bad_scores(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("code,glm\n2-01,0.5\n")
+    return ["score", "--scores", str(bad), "--out", str(tmp_path / "o.csv")]
+
+
+def test_entry_point_freezes_the_heap_before_exit_handlers_run(tmp_path):
+    package_root = Path(lmexposure.__file__).parents[1]
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, flush=True))\n"
+        f"sys.argv = ['lmexposure', *{_bad_scores(tmp_path)!r}]\n"
+        "runpy.run_module('lmexposure.cli', run_name='__main__')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == EXIT_INPUT
+    assert result.stdout == "True\n"
+
+
+def test_module_run_still_reports_an_input_error(tmp_path):
+    package_root = Path(lmexposure.__file__).parents[1]
+    argv = _bad_scores(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    result = subprocess.run(
+        [sys.executable, "-m", "lmexposure.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == EXIT_INPUT
+    assert result.stderr.startswith(f"error: {argv[2]}:")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_main_in_process_never_freezes(tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["score", "--scores", SCORES, "--out", str(tmp_path / "good.csv")]) == EXIT_OK
+    assert main(_bad_scores(tmp_path)) == EXIT_INPUT
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_function_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(lmexposure.__file__).parents[2]
+    with open(root / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["lmexposure"]
+    module_name, _, function = target.partition(":")
+    assert module_name == "lmexposure.cli"
+    tree = ast.parse((root / "src" / "lmexposure" / "cli.py").read_text())
+    (block,) = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    # The block does nothing but call the script's entry function.
+    assert [ast.unparse(statement) for statement in block.body] == [f"{function}()"]
+
+
 def test_mock_annotate_loads_no_thread_pool_or_logging(tmp_path):
     package_root = Path(lmexposure.__file__).parents[1]
     argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "glm",
@@ -1417,6 +1477,8 @@ def test_env_client_shim(tmp_path, monkeypatch):
         ("nosuch.mod:make", "module 'nosuch.mod', which is not found"),
         ("json.nosuch:make", "module 'json.nosuch', which is not found"),
         ("json:nosuchfactory", "factory 'nosuchfactory', which module 'json' lacks"),
+        (".rel:make", "module '.rel', which is relative"),
+        ("json:dumps", "factory 'dumps', which returned a 'str' with no callable 'complete'"),
     ],
 )
 def test_env_client_spec_naming_nothing_exits_3(tmp_path, capsys, monkeypatch, spec, named):
