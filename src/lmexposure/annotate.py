@@ -2,14 +2,16 @@
 
 A classifier client is anything with a ``complete(prompt_text, decode_config)``
 method returning response text and a ``capability`` attribute declaring
-itself ``"serial"`` or ``"concurrent"``; ``decode_config`` is an empty
-mapping today. The harness renders one prompt per occupation, requests
-``n_samples`` independent completions, parses each response into one of the
-four exposure categories, and retries unparseable or failed requests per
-sample before giving up on the whole run.
+itself ``"serial"`` or ``"concurrent"``. ``decode_config`` names the request:
+``{"code": …, "sample": i, "attempt": k}``, where ``i`` counts the samples of
+one occupation from 0 and ``k`` the retries of that sample. The harness
+renders one prompt per occupation, requests ``n_samples`` independent
+completions, parses each response into one of the four exposure categories,
+and retries unparseable or failed requests per sample before giving up on
+the whole run.
 
 Live model adapters are out-of-tree shims satisfying the same interface;
-this module ships only deterministic mock clients for reproducible runs.
+this module ships only a deterministic mock client for reproducible runs.
 """
 
 from __future__ import annotations
@@ -168,17 +170,19 @@ def annotate_nodes(
     prompts = [render_prompt(node, rubric) for node in nodes]
 
     def sample(job: int) -> tuple[ExposureCategory, str]:
-        prompt_text = prompts[job // n_samples]
+        node, index = divmod(job, n_samples)
+        code = nodes[node].code.raw
         last_error: Exception | None = None
-        for _ in range(max_retries + 1):
+        for attempt in range(max_retries + 1):
             try:
-                raw = client.complete(prompt_text, {})
+                raw = client.complete(
+                    prompts[node], {"code": code, "sample": index, "attempt": attempt}
+                )
                 return parse_category(raw), raw
             except Exception as exc:  # unparseable response or transport failure
                 last_error = exc
-        node, index = divmod(job, n_samples)
         raise AnnotationError(
-            f"model {model_id!r}, occupation {nodes[node].code.raw}, sample {index + 1}"
+            f"model {model_id!r}, occupation {code}, sample {index + 1}"
             f" of {n_samples}: failed after {max_retries + 1} attempts: {last_error}"
         ) from last_error
 
@@ -249,106 +253,75 @@ def _run_queue(task: Callable[[int], object], n_jobs: int, workers: int) -> list
     return results
 
 
-# --- deterministic mock clients -------------------------------------------
+# --- deterministic mock client -------------------------------------------
 
 
-class CycleMockClient:
-    """Cycles through a fixed answer list across calls."""
+class MockClient:
+    """Answers from the request alone, so every answer is known in advance.
 
-    capability = "serial"
-
-    def __init__(self, answers: Sequence[str]):
-        if not answers:
-            raise InputFormatError("cycle mock needs at least one answer")
-        self.answers = list(answers)
-        self._calls = 0
-
-    def complete(self, prompt_text: str, decode_config: Mapping[str, object]) -> str:
-        answer = self.answers[self._calls % len(self.answers)]
-        self._calls += 1
-        return answer
-
-
-class ScriptedMockClient:
-    """Answers from a per-occupation script.
-
-    The script maps occupation codes to answer lists; because the client
-    interface only sees prompt text, the occupation is recovered by matching
-    the known titles against the rendered prompt, which always carries the
-    title on its own line. Each occupation's list is cycled independently.
+    ``answers`` is one list for every occupation (``cycle``) or one list per
+    occupation code (``scripted``). Attempt ``k`` of sample ``i`` gets
+    ``answers[(i + k) % len(answers)]``: each occupation starts at its first
+    answer, and a retry moves that sample on to the next one.
     """
 
+    # Serial keeps a mock run on the calling thread, its models one after
+    # another, so the sample that a failed run reports never depends on timing.
     capability = "serial"
 
-    def __init__(self, answers_by_code: Mapping[str, Sequence[str]], taxonomy: Taxonomy):
-        self._by_title: dict[str, list[str]] = {}
-        self._calls: dict[str, int] = {}
-        for code, answers in answers_by_code.items():
-            if not answers:
-                raise InputFormatError(f"empty answer list for occupation {code!r}")
-            if code not in taxonomy:
-                raise InputFormatError(f"unknown occupation code {code!r}")
-            title = taxonomy.node(code).title
-            if title in self._by_title:  # prompts carry only the title
-                other = next(c for c in answers_by_code if taxonomy.node(c).title == title)
-                raise InputFormatError(
-                    f"scripted codes {other!r} and {code!r} share the title {title!r}"
-                )
-            self._by_title[title] = list(answers)
-            self._calls[title] = 0
+    def __init__(self, answers: Sequence[str] | Mapping[str, Sequence[str]]):
+        self.answers = answers
 
     def complete(self, prompt_text: str, decode_config: Mapping[str, object]) -> str:
-        for line in prompt_text.splitlines():
-            if line.startswith("Occupation title: "):
-                title = line[len("Occupation title: "):]
-                break
-        else:
-            raise InputFormatError("prompt carries no occupation title line")
-        if title not in self._by_title:
-            raise InputFormatError(f"no scripted answers for occupation titled {title!r}")
-        answers = self._by_title[title]
-        index = self._calls[title]
-        self._calls[title] = index + 1
-        return answers[index % len(answers)]
+        answers = self.answers
+        if isinstance(answers, Mapping):
+            code = decode_config["code"]
+            if code not in answers:
+                raise InputFormatError(f"no scripted answers for occupation {code!r}")
+            answers = answers[code]
+        return answers[(decode_config["sample"] + decode_config["attempt"]) % len(answers)]
 
 
-# Mock kind -> (key holding its answers, required JSON type, type as worded in errors).
+# Mock kind -> (required JSON type of its answers, type as worded in errors).
 _MOCK_ANSWERS = {
-    "fixed": ("answer", str, "a string"),
-    "cycle": ("answers", list, "a list"),
-    "scripted": ("answers", dict, "an object mapping codes to lists"),
+    "cycle": (list, "a list"),
+    "scripted": (dict, "an object mapping codes to lists"),
 }
 
 
-def load_mock_client(
-    source: str | Path, taxonomy: Taxonomy | None = None
-) -> ClassifierClient:
+def load_mock_client(source: str | Path, taxonomy: Taxonomy | None = None) -> MockClient:
     """Build a mock client from its JSON configuration file.
 
-    Recognized shapes: ``{"kind": "fixed", "answer": "E1"}`` (a cycle of
-    one answer), ``{"kind": "cycle", "answers": [...]}`` and
-    ``{"kind": "scripted", "answers": {"2-06": ["E1", ...]}}`` (the scripted
-    kind needs a taxonomy to resolve codes to titles). Any other key is refused.
+    Recognized shapes: ``{"kind": "cycle", "answers": ["E1", ...]}`` (one
+    list for every occupation) and ``{"kind": "scripted", "answers": {"2-06":
+    ["E1", ...]}}`` (one list per code; the scripted kind needs a taxonomy
+    to check that its codes exist). An empty answer list, and any other key,
+    are refused.
     """
     config = json_object(source, "mock configuration")
     with located(source):
         kind = config.get("kind")
         if not isinstance(kind, str) or kind not in _MOCK_ANSWERS:
             raise InputFormatError(f"unknown mock client kind {kind!r}")
-        key, expected, type_name = _MOCK_ANSWERS[kind]
-        only_keys(config, {"kind", key}, f"{kind} mock configuration")
-        answers = config.get(key)
+        expected, type_name = _MOCK_ANSWERS[kind]
+        only_keys(config, {"kind", "answers"}, f"{kind} mock configuration")
+        answers = config.get("answers")
         if not isinstance(answers, expected) or (
             kind == "scripted" and not all(isinstance(v, list) for v in answers.values())
         ):
-            raise InputFormatError(f"{kind} mock needs {key!r} as {type_name}")
-        if kind != "scripted":
-            return CycleMockClient([answers] if kind == "fixed" else [str(a) for a in answers])
+            raise InputFormatError(f"{kind} mock needs 'answers' as {type_name}")
+        if kind == "cycle":
+            if not answers:
+                raise InputFormatError("cycle mock needs at least one answer")
+            return MockClient([str(a) for a in answers])
         if taxonomy is None:
-            raise InputFormatError(
-                "scripted mock configuration needs a taxonomy to map codes to titles"
-            )
-        return ScriptedMockClient(answers, taxonomy)
+            raise InputFormatError("scripted mock needs a taxonomy to check its codes")
+        for code, listed in answers.items():
+            if not listed:
+                raise InputFormatError(f"empty answer list for occupation {code!r}")
+            if code not in taxonomy:
+                raise InputFormatError(f"unknown occupation code {code!r}")
+        return MockClient(answers)
 
 
 # --- annotation store -------------------------------------------------------

@@ -6,7 +6,7 @@ score -> aggregate -> industry -> stats. All outputs are written
 atomically (temp file plus rename) and every run leaves a machine-readable
 manifest with parameter values and content digests next to its primary
 output. Exit codes: 0 success, 2 configuration problem, 3 input-format
-problem, 4 computation problem.
+problem, 4 computation problem, 130 interrupted (Ctrl-C).
 
 This module holds the parser, with every rule on which options go together,
 and the exit-code mapping only. The handlers live in ``lmexposure/commands/``,
@@ -250,9 +250,15 @@ def console_main() -> None:
 
     ``main`` returns once every output is written and closed. Exit handlers,
     thread joins and stream flushes still run after this; ``main`` itself,
-    which callers may run many times in one process, never freezes.
+    which callers may run many times in one process, never freezes. Ctrl-C
+    ends the command with one line and exit 130 (128 + SIGINT), as a shell
+    reports it, not with a traceback.
     """
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
     gc.freeze()  # shutdown's collections then skip the heap the OS is about to free
     sys.exit(code)
 

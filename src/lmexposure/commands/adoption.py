@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .. import econ_model as econ
 from .. import runio
-from ..errors import EXIT_OK, InputFormatError
+from ..errors import EXIT_OK, ConfigError
 from . import RunConfig
 
 
@@ -54,7 +54,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(spec: str) -> list[float]:
+def _parse_grid(option: str, spec: str) -> list[float]:
     try:
         if ":" in spec:
             lo_s, hi_s, n_s = spec.split(":")
@@ -64,13 +64,13 @@ def _parse_grid(spec: str) -> list[float]:
         if not all(map(math.isfinite, values)):
             raise ValueError
     except ValueError:
-        raise InputFormatError(
-            f"grid must be lo:hi:n or a comma-separated list of numbers, got {spec!r}"
+        raise ConfigError(
+            f"{option} must be lo:hi:n or a comma-separated list of finite numbers, got {spec!r}"
         ) from None
     if n is None:
         return values
     if n < 1:
-        raise InputFormatError(f"grid needs at least one point, got {n}")
+        raise ConfigError(f"{option} needs at least one point, got {spec!r}")
     lo, hi = values
     if n == 1:
         return [lo]
@@ -78,12 +78,17 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_contour(args: argparse.Namespace) -> int:
+    # The defaults that --help names; only an absent option, not '', falls back.
+    # A malformed grid is a bad option value, refused before the scenario is read.
+    delta_grid = _parse_grid(
+        "--delta-grid", "0:0.95:21" if args.delta_grid is None else args.delta_grid
+    )
+    ratio_grid = _parse_grid(
+        "--ratio-grid", "0:1:21" if args.ratio_grid is None else args.ratio_grid
+    )
     config = RunConfig(args)
     sectors, law = _scenario_inputs(args, config)
     sectors = sorted(sectors, key=lambda s: s.exposure, reverse=True)
-    # The defaults that --help names; only an absent option, not '', falls back.
-    delta_grid = _parse_grid("0:0.95:21" if args.delta_grid is None else args.delta_grid)
-    ratio_grid = _parse_grid("0:1:21" if args.ratio_grid is None else args.ratio_grid)
     values = econ.contour_grid(sectors, law, delta_grid, ratio_grid)
 
     header = "delta\\ratio," + ",".join(

@@ -102,7 +102,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         raise ComputationError("no annotatable occupations at the requested level")
 
     if args.mock:
-        clients = [ann.load_mock_client(args.mock, taxonomy) for _ in model_ids]
+        clients = [ann.load_mock_client(args.mock, taxonomy)] * len(model_ids)  # stateless
     else:
         clients = [_load_live_client(live_spec, model_id) for model_id in model_ids]
     side_by_side = all(ann._concurrent(client) for client in clients)

@@ -15,12 +15,11 @@ from lmexposure.annotate import (
     AmbiguousResponse,
     AnnotationError,
     AnnotationStore,
-    CycleMockClient,
     EmptyDescriptionError,
     ExposureCategory,
     LogicalClock,
+    MockClient,
     NoCategoryFound,
-    ScriptedMockClient,
     _run_queue,
     annotate_nodes,
     load_mock_client,
@@ -107,18 +106,18 @@ def test_parse_no_category(response):
 
 
 def test_constant_mock_eight_samples():
-    run = annotate_nodes(CycleMockClient(["E1"]), [_node()], model_id="m", n_samples=8)[0]
+    run = annotate_nodes(MockClient(["E1"]), [_node()], model_id="m", n_samples=8)[0]
     assert run.samples == [E1] * 8
     assert run.raw_responses == ["E1"] * 8
 
 
 def test_cycle_mock_order_preserved():
-    run = annotate_nodes(CycleMockClient(["E1", "E0"]), [_node()], model_id="m", n_samples=8)[0]
+    run = annotate_nodes(MockClient(["E1", "E0"]), [_node()], model_id="m", n_samples=8)[0]
     assert run.samples == [E1, E0, E1, E0, E1, E0, E1, E0]
 
 
 def test_retry_exhaustion_fails_run():
-    client = CycleMockClient(["nonsense"])
+    client = MockClient(["nonsense"])
     node = _node()
     message = f"model 'm', occupation {node.code.raw}, sample 1 of 1: failed after 3 attempts"
     with pytest.raises(AnnotationError, match=message):
@@ -126,7 +125,7 @@ def test_retry_exhaustion_fails_run():
 
 
 def test_retry_then_success_never_inflates_samples():
-    client = CycleMockClient(["nonsense", "nonsense", "E2"])
+    client = MockClient(["nonsense", "nonsense", "E2"])
     run = annotate_nodes(client, [_node()], model_id="m", n_samples=2, max_retries=2)[0]
     assert run.samples == [E2, E2]
     assert len(run.raw_responses) == 2
@@ -150,21 +149,21 @@ def test_transport_failures_retried():
 
 
 def test_deterministic_client_gives_pure_runs():
-    a = annotate_nodes(CycleMockClient(["E2", "E1"]), [_node()], model_id="m", n_samples=5)[0]
-    b = annotate_nodes(CycleMockClient(["E2", "E1"]), [_node()], model_id="m", n_samples=5)[0]
+    a = annotate_nodes(MockClient(["E2", "E1"]), [_node()], model_id="m", n_samples=5)[0]
+    b = annotate_nodes(MockClient(["E2", "E1"]), [_node()], model_id="m", n_samples=5)[0]
     assert a.samples == b.samples
     assert a.raw_responses == b.raw_responses
 
 
 def test_n_samples_must_be_positive():
     with pytest.raises(Exception):
-        annotate_nodes(CycleMockClient(["E1"]), [_node()], model_id="m", n_samples=0)
+        annotate_nodes(MockClient(["E1"]), [_node()], model_id="m", n_samples=0)
 
 
 @pytest.mark.parametrize("in_flight", [0, -3])
 def test_in_flight_must_be_positive(in_flight):
     with pytest.raises(ComputationError, match="in_flight"):
-        annotate_nodes(CycleMockClient(["E1"]), [_node()], model_id="m", in_flight=in_flight)
+        annotate_nodes(MockClient(["E1"]), [_node()], model_id="m", in_flight=in_flight)
 
 
 def test_serial_client_runs_in_order_on_the_calling_thread():
@@ -377,9 +376,7 @@ def _two_node_taxonomy():
 
 def test_scripted_mock_routes_by_occupation():
     tx = _two_node_taxonomy()
-    client = ScriptedMockClient(
-        {"2-06": ["E1"], "2-08": ["E0", "E2"]}, tx
-    )
+    client = MockClient({"2-06": ["E1"], "2-08": ["E0", "E2"]})
     run_a = annotate_nodes(client, [tx.node("2-06")], model_id="m", n_samples=3)[0]
     run_b = annotate_nodes(client, [tx.node("2-08")], model_id="m", n_samples=3)[0]
     assert run_a.samples == [E1, E1, E1]
@@ -388,33 +385,87 @@ def test_scripted_mock_routes_by_occupation():
 
 def test_scripted_mock_without_entry_fails():
     tx = _two_node_taxonomy()
-    client = ScriptedMockClient({"2-06": ["E1"]}, tx)
-    with pytest.raises(AnnotationError):
+    client = MockClient({"2-06": ["E1"]})
+    with pytest.raises(AnnotationError, match="no scripted answers for occupation '2-08'"):
         annotate_nodes(client, [tx.node("2-08")], model_id="m", n_samples=1)
 
 
-def test_load_mock_client_kinds(tmp_path):
-    fixed = tmp_path / "fixed.json"
-    fixed.write_text(json.dumps({"kind": "fixed", "answer": "E1"}))
-    client = load_mock_client(fixed)  # a fixed answer is a cycle of one
-    assert isinstance(client, CycleMockClient) and client.answers == ["E1"]
+def test_cycle_mock_restarts_at_each_occupation():
+    client = MockClient(["E1", "E0", "E2"])
+    runs = annotate_nodes(client, _leaf_nodes(["A", "B"]), model_id="m", n_samples=2)
+    assert [run.samples for run in runs] == [[E1, E0], [E1, E0]]
 
+
+def test_mock_retry_moves_only_that_sample_to_the_next_answer():
+    client = MockClient(["x", "E1", "E2"])
+    run = annotate_nodes(client, [_node()], model_id="m", n_samples=3, max_retries=1)[0]
+    # Sample 0 retries onto answer 1; samples 1 and 2 keep their own answers.
+    assert run.samples == [E1, E1, E2]
+
+
+def test_each_request_names_its_code_sample_and_attempt():
+    class Recording:
+        capability = "serial"
+
+        def __init__(self):
+            self.configs = []
+
+        def complete(self, prompt_text, decode_config):
+            self.configs.append(dict(decode_config))
+            first_try_of_sample_1 = decode_config["sample"] == 1 and not decode_config["attempt"]
+            return "unclear" if first_try_of_sample_1 else "E1"
+
+    client = Recording()
+    nodes = _leaf_nodes(["Title A", "Title B"])
+    annotate_nodes(client, nodes, model_id="m", n_samples=2, max_retries=2)
+    assert {frozenset(config) for config in client.configs} == {
+        frozenset({"code", "sample", "attempt"})
+    }
+    assert [(c["code"], c["sample"], c["attempt"]) for c in client.configs] == [
+        ("2-01", 0, 0), ("2-01", 1, 0), ("2-01", 1, 1),
+        ("2-02", 0, 0), ("2-02", 1, 0), ("2-02", 1, 1),
+    ]
+
+
+def test_a_sample_that_exhausts_its_retries_sent_attempts_0_to_max_retries():
+    attempts = []
+
+    class Unclear:
+        capability = "serial"
+
+        def complete(self, prompt_text, decode_config):
+            attempts.append((decode_config["sample"], decode_config["attempt"]))
+            return "unclear"
+
+    with pytest.raises(AnnotationError, match="sample 1 of 2: failed after 4 attempts"):
+        annotate_nodes(Unclear(), [_node()], model_id="m", n_samples=2, max_retries=3)
+    assert attempts == [(0, 0), (0, 1), (0, 2), (0, 3)]
+
+
+def test_load_mock_client_kinds(tmp_path):
     cycle = tmp_path / "cycle.json"
     cycle.write_text(json.dumps({"kind": "cycle", "answers": ["E1", "E0"]}))
-    assert isinstance(load_mock_client(cycle), CycleMockClient)
+    client = load_mock_client(cycle)
+    assert isinstance(client, MockClient) and client.answers == ["E1", "E0"]
 
     scripted = tmp_path / "scripted.json"
     scripted.write_text(json.dumps({"kind": "scripted", "answers": {"2-06": ["E1"]}}))
-    assert isinstance(
-        load_mock_client(scripted, _two_node_taxonomy()), ScriptedMockClient
-    )
-    with pytest.raises(InputFormatError):
-        load_mock_client(scripted)  # scripted needs the taxonomy
+    client = load_mock_client(scripted, _two_node_taxonomy())
+    assert isinstance(client, MockClient) and client.answers == {"2-06": ["E1"]}
+    with pytest.raises(InputFormatError, match="needs a taxonomy to check its codes"):
+        load_mock_client(scripted)
 
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"kind": "quantum"}))
-    with pytest.raises(InputFormatError):
-        load_mock_client(bad)
+    for config, message in (
+        ({"kind": "quantum"}, "unknown mock client kind 'quantum'"),
+        ({"kind": "fixed", "answer": "E1"}, "unknown mock client kind 'fixed'"),
+        ({"kind": "cycle", "answers": []}, "cycle mock needs at least one answer"),
+        ({"kind": "scripted", "answers": {"2-06": []}}, "empty answer list for occupation '2-06'"),
+        ({"kind": "scripted", "answers": {"2-07": ["E1"]}}, "unknown occupation code '2-07'"),
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        with pytest.raises(InputFormatError, match=message):
+            load_mock_client(bad, _two_node_taxonomy())
 
 
 # --- store ---------------------------------------------------------------------
@@ -422,8 +473,8 @@ def test_load_mock_client_kinds(tmp_path):
 
 def test_store_roundtrip_and_determinism(tmp_path):
     runs = [
-        annotate_nodes(CycleMockClient(["E1"]), [_node()], model_id="glm", n_samples=4)[0],
-        annotate_nodes(CycleMockClient(["E0", "E2"]), [_node()], model_id="gpt4", n_samples=4)[0],
+        annotate_nodes(MockClient(["E1"]), [_node()], model_id="glm", n_samples=4)[0],
+        annotate_nodes(MockClient(["E0", "E2"]), [_node()], model_id="gpt4", n_samples=4)[0],
     ]
     path_a = tmp_path / "a.jsonl"
     path_b = tmp_path / "b.jsonl"
@@ -443,7 +494,7 @@ def test_store_roundtrip_and_determinism(tmp_path):
 def test_store_appends(tmp_path):
     path = tmp_path / "s.jsonl"
     store = AnnotationStore(path, clock=LogicalClock())
-    run = annotate_nodes(CycleMockClient(["E3"]), [_node()], model_id="glm", n_samples=2)[0]
+    run = annotate_nodes(MockClient(["E3"]), [_node()], model_id="glm", n_samples=2)[0]
     store.append([run])
     store.append([run])
     assert len(read_annotation_store(path)) == 2

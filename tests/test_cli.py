@@ -63,7 +63,7 @@ def test_score_reproduces_published_ensemble(tmp_path):
 
 
 def test_score_from_annotation_store(tmp_path):
-    mock = _write_mock(tmp_path, {"kind": "fixed", "answer": "E1"})
+    mock = _write_mock(tmp_path, {"kind": "cycle", "answers": ["E1"]})
     store = tmp_path / "store.jsonl"
     assert (
         main(
@@ -443,7 +443,7 @@ def test_industry_list_lacking_an_industry_of_the_matrix_exits_3(tmp_path, capsy
 @pytest.mark.parametrize("bad", ["abc", "nan", "1.5", "-0.1"])
 def test_expert_score_must_be_a_finite_number(tmp_path, capsys, bad):
     store = tmp_path / "store.jsonl"
-    mock = _write_mock(tmp_path, {"kind": "fixed", "answer": "E1"})
+    mock = _write_mock(tmp_path, {"kind": "cycle", "answers": ["E1"]})
     argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", mock, "--models", "glm"]
     assert main([*argv, "--n-samples", "1", "--out", str(store)]) == EXIT_OK
     expert = tmp_path / "expert.csv"
@@ -565,13 +565,20 @@ def test_contour_output_shape(tmp_path):
         ("--ratio-grid", "0,inf"),
         ("--delta-grid", "0:inf:3"),
         ("--ratio-grid", "nan:1:1"),
+        *[
+            (option, value)
+            for option in ("--delta-grid", "--ratio-grid")
+            for value in ("0:1:0", "abc", "0:1", "0:1:1.5", "nan:1:3")
+        ],
     ],
 )
 def test_contour_malformed_grid_is_input_error(tmp_path, capsys, grid):
+    """A malformed grid is a bad option value, not a bad file: exit 2, naming the option."""
     out = tmp_path / "contour.csv"
     code = main(["contour", "--scenario", SCENARIO, *grid, "--out", str(out)])
-    assert code == EXIT_INPUT
-    assert grid[1] in capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {grid[0]} " in err and repr(grid[1]) in err
     assert not out.exists()
 
 
@@ -871,13 +878,14 @@ def test_validate_reports_orphan_with_line(tmp_path, capsys):
 @pytest.mark.parametrize(
     "config",
     [
-        {"kind": "fixed"},
+        {"kind": "fixed", "answer": "E1"},  # the old spelling of a one-answer cycle
         {"kind": "cycle", "answers": 5},
         {"kind": "scripted", "answers": {"2-01": "E1"}},
         {"kind": "scripted", "answers": {"9-99": ["E1"]}},
         ["E1"],
         {"kind": "cycle", "answers": ["E1"], "answer": "E3", "extra": 1},
-        {"kind": "fixed", "answer": "E1", "answers": ["E2"]},
+        {"kind": "scripted", "answers": {"2-01": []}},
+        {"kind": "cycle", "answers": []},
     ],
 )
 def test_malformed_mock_config_is_input_error(tmp_path, capsys, config):
@@ -893,31 +901,32 @@ def test_malformed_mock_config_is_input_error(tmp_path, capsys, config):
 
 def test_a_mock_configuration_that_repeats_a_key_exits_3(tmp_path, capsys):
     mock = tmp_path / "mock.json"
-    mock.write_text('{"kind": "fixed", "answer": "E1", "answer": "E3"}')
+    mock.write_text('{"kind": "cycle", "answers": ["E1"], "answers": ["E3"]}')
     assert main(["validate", "--taxonomy", TAXONOMY, "--mock", str(mock)]) == EXIT_INPUT
-    assert f"mock: {mock}: JSON object names key 'answer' twice" in capsys.readouterr().out
+    assert f"mock: {mock}: JSON object names key 'answers' twice" in capsys.readouterr().out
     out = tmp_path / "store.jsonl"
     code = main(["annotate", "--taxonomy", TAXONOMY, "--mock", str(mock), "--out", str(out)])
     assert code == EXIT_INPUT
-    assert f"{mock}: JSON object names key 'answer' twice" in capsys.readouterr().err
+    assert f"{mock}: JSON object names key 'answers' twice" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_scripted_mock_with_duplicate_titles_is_input_error(tmp_path, capsys):
+def test_scripted_codes_that_share_a_title_get_their_own_answers(tmp_path, capsys):
     taxonomy = tmp_path / "taxonomy.csv"
     taxonomy.write_text(
         "code,title,description,excluded\n2,Pros,top,false\n"
         "2-01,Clerks,Files records.,false\n2-02,Clerks,Types letters.,false\n"
     )
     mock = _write_mock(tmp_path, {"kind": "scripted", "answers": {"2-01": ["E1"], "2-02": ["E0"]}})
-    assert main(["validate", "--taxonomy", str(taxonomy), "--mock", mock]) == EXIT_INPUT
-    assert f"mock: {mock}: scripted codes '2-01' and '2-02' share the title 'Clerks'" in (
-        capsys.readouterr().out
-    )
+    assert main(["validate", "--taxonomy", str(taxonomy), "--mock", mock]) == EXIT_OK
+    assert capsys.readouterr().out == ""
     out = tmp_path / "store.jsonl"
-    code = main(["annotate", "--taxonomy", str(taxonomy), "--mock", mock, "--out", str(out)])
-    assert code == EXIT_INPUT
-    assert not out.exists()
+    argv = ["annotate", "--taxonomy", str(taxonomy), "--mock", mock, "--models", "glm"]
+    assert main([*argv, "--n-samples", "2", "--out", str(out)]) == EXIT_OK
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["code"], r["samples"]) for r in records] == [
+        ("2-01", ["E1", "E1"]), ("2-02", ["E0", "E0"])
+    ]
 
 
 @pytest.mark.parametrize("bad", ["1.5", "nan"])
@@ -1278,6 +1287,32 @@ def test_module_run_still_reports_an_input_error(tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_an_interrupt_ends_the_command_with_one_line_and_exit_130(tmp_path):
+    (tmp_path / "interruptshim.py").write_text(
+        "class Client:\n"
+        "    capability = 'serial'\n"
+        "    def complete(self, prompt_text, decode_config):\n"
+        "        raise KeyboardInterrupt\n"
+        "def make(model_id):\n"
+        "    return Client()\n"
+    )
+    package_root = Path(lmexposure.__file__).parents[1]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(package_root), str(tmp_path)]),
+        CLIENT_ENV_VAR: "interruptshim:make",
+    }
+    store = tmp_path / "store.jsonl"
+    result = subprocess.run(
+        [sys.executable, "-m", "lmexposure.cli", "annotate", "--taxonomy", TAXONOMY,
+         "--models", "glm", "--out", str(store)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 130
+    assert result.stderr == "error: interrupted\n"
+    assert not store.exists()
+
+
 def test_main_in_process_never_freezes(tmp_path):
     before = gc.get_freeze_count()
     assert main(["score", "--scores", SCORES, "--out", str(tmp_path / "good.csv")]) == EXIT_OK
@@ -1451,9 +1486,9 @@ def test_env_client_shim(tmp_path, monkeypatch):
     shim.mkdir()
     (shim / "__init__.py").write_text("")
     (shim / "client.py").write_text(
-        "from lmexposure.annotate import CycleMockClient\n"
+        "from lmexposure.annotate import MockClient\n"
         "def make(model_id):\n"
-        "    return CycleMockClient(['E2'])\n"
+        "    return MockClient(['E2'])\n"
     )
     monkeypatch.syspath_prepend(str(tmp_path))
     monkeypatch.setenv(CLIENT_ENV_VAR, "shimpkg.client:make")
@@ -1655,32 +1690,30 @@ def test_a_factory_that_fails_for_one_model_costs_no_call(tmp_path, client_hook)
 
 def test_serial_mock_runs_its_models_in_order_on_the_calling_thread(tmp_path, monkeypatch):
     calls = []
-    complete = annotate.ScriptedMockClient.complete
+    complete = annotate.MockClient.complete
 
     def logged(self, prompt_text, decode_config):
-        calls.append((id(self), threading.get_ident(), threading.active_count()))
+        calls.append((decode_config["code"], decode_config["sample"], threading.get_ident(),
+                      threading.active_count()))
         return complete(self, prompt_text, decode_config)
 
-    monkeypatch.setattr(annotate.ScriptedMockClient, "complete", logged)
-    clients = []
-    load = annotate.load_mock_client
-    monkeypatch.setattr(
-        annotate, "load_mock_client", lambda *a: clients.append(load(*a)) or clients[-1]
-    )
+    monkeypatch.setattr(annotate.MockClient, "complete", logged)
     threads_before = threading.active_count()
     store = tmp_path / "store.jsonl"
     argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--models", "gpt4,glm,internlm",
             "--n-samples", "2", "--in-flight", "8", "--out", str(store)]
     assert main(argv) == EXIT_OK
-    assert [client for client, _, _ in calls] == [id(c) for c in clients for _ in range(2 * 63)]
-    assert {(thread, count) for _, thread, count in calls} == {
+    # Each model sends every request of its own before the next model starts.
+    one_model = [(r["code"], i) for r in _records(store)[:63] for i in range(2)]
+    assert [(code, sample) for code, sample, _, _ in calls] == one_model * 3
+    assert {(thread, count) for _, _, thread, count in calls} == {
         (threading.get_ident(), threads_before)
     }
     assert [r["model_id"] for r in _records(store)[::63]] == ["gpt4", "glm", "internlm"]
 
 
 def test_a_sample_that_exhausts_its_retries_names_model_code_and_sample(tmp_path, capsys):
-    mock = _write_mock(tmp_path, {"kind": "fixed", "answer": "unclear"})
+    mock = _write_mock(tmp_path, {"kind": "cycle", "answers": ["unclear"]})
     store = tmp_path / "store.jsonl"
     argv = ["annotate", "--taxonomy", TAXONOMY, "--mock", mock, "--models", "internlm,glm",
             "--n-samples", "3", "--max-retries", "1", "--out", str(store)]

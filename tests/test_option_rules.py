@@ -16,6 +16,7 @@ import pytest
 
 from lmexposure.cli import (
     CLIENT_ENV_VAR,
+    EXIT_COMPUTE,
     EXIT_CONFIG,
     EXIT_INPUT,
     EXIT_OK,
@@ -40,9 +41,8 @@ OPTIONS = _options()
 
 # Options whose effect needs a condition that the fixtures lack.
 EXEMPT = {
-    ("annotate", "--max-retries"): "the mock clients never fail, so no sample is retried",
     ("annotate", "--in-flight"): "the mock clients are serial, so requests never overlap",
-    ("annotate", "--rubric"): "the scripted mock answers by the title line, not the rubric",
+    ("annotate", "--rubric"): "the mocks answer by the request's code and sample, not the prompt",
 }
 
 # Required options of each command; upper-case words name the inputs below.
@@ -70,10 +70,15 @@ CASES = {
     ("annotate", "--mock"): (["--models", "glm", *ONE], [*MOCK_GLM, *ONE]),
     ("annotate", "--models"): (["--mock", "MOCK", *ONE], [*MOCK_GLM, *ONE]),
     ("annotate", "--n-samples"): (MOCK_GLM, [*MOCK_GLM, *ONE]),
-    # The scripted demo mock answers leaf titles only.
+    # The scripted demo mock answers leaf codes only.
     ("annotate", "--level"): (
-        ["--mock", "FIXED_MOCK", "--models", "glm", *ONE],
-        ["--mock", "FIXED_MOCK", "--models", "glm", *ONE, "--level", "large"],
+        ["--mock", "ONE_ANSWER_MOCK", "--models", "glm", *ONE],
+        ["--mock", "ONE_ANSWER_MOCK", "--models", "glm", *ONE, "--level", "large"],
+    ),
+    # Three unparseable answers exhaust the default budget of two retries.
+    ("annotate", "--max-retries"): (
+        ["--mock", "RETRY_MOCK", "--models", "glm", *ONE],
+        ["--mock", "RETRY_MOCK", "--models", "glm", *ONE, "--max-retries", "3"],
     ),
     ("score", "--annotations"): (["--scores", "SCORES"], STORE),
     ("score", "--scores"): (STORE, ["--scores", "SCORES"]),
@@ -126,7 +131,8 @@ def inputs(tmp_path_factory) -> dict[str, str]:
         )
     }
     written = {
-        "FIXED_MOCK": '{"kind": "fixed", "answer": "E1"}\n',
+        "ONE_ANSWER_MOCK": '{"kind": "cycle", "answers": ["E1"]}\n',
+        "RETRY_MOCK": '{"kind": "cycle", "answers": ["x", "x", "x", "E1"]}\n',
         "EXPERT": "code,score\n2-01,0.9\n2-01,0.7\n",
         "OUTCOMES": "code,salary\n"
         + "".join(
@@ -189,6 +195,7 @@ def test_every_accepted_option_changes_the_output(tmp_path, monkeypatch, inputs,
     elif code_with == EXIT_CONFIG:
         assert files_with == {}
     else:
-        # Without the option a command may refuse to run: annotate has no client.
-        assert code_with == EXIT_OK and code_without in (EXIT_OK, EXIT_CONFIG)
+        # Without the option a command may refuse to run: annotate has no client,
+        # or exhausts its retries.
+        assert code_with == EXIT_OK and code_without in (EXIT_OK, EXIT_CONFIG, EXIT_COMPUTE)
         assert files_with != files_without
