@@ -15,14 +15,14 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
-    SHARE_SUM_TOL,
     ComputationError,
     InputFormatError,
     cells_at,
+    check_sum_to_one,
     code_cell,
     csv_input,
     located,
-    parse_finite,
+    parse_score,
 )
 
 
@@ -51,10 +51,7 @@ def _check_rows(
                     raise InputFormatError(
                         f"share {v:.12g} in {what} row {label!r} is not a non-negative number"
                     )
-        if not abs(total - 1.0) <= SHARE_SUM_TOL:
-            raise RowSumError(
-                f"{what} row {label!r} sums to {total:.12g}, expected 1 within {SHARE_SUM_TOL}"
-            )
+        check_sum_to_one(total, f"{what} row {label!r} sums", RowSumError)
 
 
 def _project(
@@ -122,7 +119,8 @@ class DemographicShares:
 def _read_share_file(source: str | Path, key_column: str):
     """(row labels, columns, float rows of the header's width) for a constructor to check.
 
-    Intensity columns are also checked as codes here, so a bad one is named at line 1.
+    Intensity columns are read as codes here, in ``code_cell`` form, so a bad one is
+    named at line 1, and a column padded with spaces repeats or matches its code.
     """
     rows: dict[str, list[float]] = {}
     with csv_input(source) as (header, lines, _):
@@ -133,8 +131,7 @@ def _read_share_file(source: str | Path, key_column: str):
         if not columns:
             raise InputFormatError("share file has no weight columns")
         if key_column == "industry_id":  # intensity columns are occupation codes
-            for code in columns:
-                code_cell(code)
+            columns = [code_cell(code) for code in columns]
         if len(set(columns)) < len(columns):  # weights meet scores by column name
             repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
             raise InputFormatError(f"header names column {repeated!r} twice", line=1)
@@ -168,8 +165,9 @@ def read_industry_names(source: str | Path) -> dict[str, str]:
 
 
 def read_industry_scores(source: str | Path) -> dict[str, float]:
-    """Read an industry exposure file with header ``industry_id,score``."""
-    return _read_industry_column(source, "score", lambda cell: parse_finite(cell, "score"))
+    """Read an industry exposure file with header ``industry_id,score``; each
+    score is in [0, 1]."""
+    return _read_industry_column(source, "score", lambda cell: parse_score(cell, "score"))
 
 
 def industry_exposure(

@@ -380,8 +380,8 @@ def read_annotation_store(source: str | Path) -> list[AnnotationRun]:
 
     A record that is not an object, repeats a key, lacks a field, has a model
     id outside ``MODEL_COLUMNS``, a malformed code, an unknown category,
-    non-string raw responses or a sample count that differs from its
-    responses raises ``InputFormatError`` at ``path:line``.
+    non-string raw responses, no samples or a sample count that differs from
+    its responses raises ``InputFormatError`` at ``path:line``.
     """
     runs: list[AnnotationRun] = []
     decode = json.JSONDecoder(object_pairs_hook=unique_keys).decode  # one for all lines
@@ -400,16 +400,19 @@ def _record_to_run(record: object) -> AnnotationRun:
     if not isinstance(record, dict):
         raise TypeError(f"expected a JSON object, got {record!r}")
     model_id, code, responses = record["model_id"], record["code"], record["raw_responses"]
+    samples = record["samples"]
     if model_id not in MODEL_COLUMNS:
         raise ValueError(f"model {model_id!r} has no score column; use {list(MODEL_COLUMNS)}")
     if not isinstance(code, str):
         raise TypeError(f"code must be a string, got {code!r}")
     if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
         raise TypeError(f"raw_responses must be a list of strings, got {responses!r}")
+    if not isinstance(samples, list) or not samples:  # a model's score is a mean over samples
+        raise ValueError(f"samples must be a non-empty list, got {samples!r}")
     # AnnotationRun checks that samples and responses align one-to-one.
     return AnnotationRun(
         model_id=model_id,
         occupation_code=OccupationCode.parse(code),
-        samples=[ExposureCategory(v) for v in record["samples"]],
+        samples=[ExposureCategory(v) for v in samples],
         raw_responses=responses,
     )

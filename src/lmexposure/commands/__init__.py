@@ -3,7 +3,7 @@
 A handler takes the parsed ``argparse.Namespace`` and returns an exit code.
 No module here imports ``lmexposure.cli``: under ``python -m lmexposure.cli``
 the running module is ``__main__``, so that import would run ``cli.py`` again.
-Stage functions are called through their module (``runio.format_score``), not
+Stage functions are called through their module (``runio.csv_text``), not
 imported by name, so that ``perfbench/tracer.py``, which replaces module
 attributes, sees each call. For the same reason ``RunConfig`` lives here and
 not in ``runio``: its writes then show as ``runio`` calls of their own.

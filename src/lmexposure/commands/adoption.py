@@ -91,21 +91,12 @@ def cmd_contour(args: argparse.Namespace) -> int:
     sectors = sorted(sectors, key=lambda s: s.exposure, reverse=True)
     values = econ.contour_grid(sectors, law, delta_grid, ratio_grid)
 
-    header = "delta\\ratio," + ",".join(
-        runio.format_score(r, args.full_precision) for r in ratio_grid
-    )
-    lines = [header]
-    for delta, row in zip(delta_grid, values):
-        lines.append(
-            runio.format_score(delta, args.full_precision)
-            + ","
-            + ",".join(runio.format_score(v, args.full_precision) for v in row)
-        )
+    rows = [("delta\\ratio", *ratio_grid), *((d, *row) for d, row in zip(delta_grid, values))]
     config.parameters.update(
         delta_grid=args.delta_grid,
         ratio_grid=args.ratio_grid,
         delta_points=len(delta_grid),
         ratio_points=len(ratio_grid),
     )
-    config.emit({"contour": (Path(args.out), "\n".join(lines) + "\n")})
+    config.emit({"contour": (Path(args.out), runio.csv_text(rows, args.full_precision))})
     return EXIT_OK

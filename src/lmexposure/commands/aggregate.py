@@ -22,16 +22,13 @@ def aggregated_csv(
 
     rolled = tax.aggregate_up(taxonomy, leaf_scores)
     level_names = [level.name.lower() for level in tax.Level]  # indexed by level - 1
-    lines = ["code,title,level,score"]
-    for node in taxonomy.walk():
-        raw = node.code.raw
-        if raw in rolled:
-            title = '"' + node.title.replace('"', '""') + '"'
-            lines.append(
-                f"{raw},{title},{level_names[node.code.level - 1]},"
-                f"{runio.format_score(rolled[raw], full_precision)}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = [("code", "title", "level", "score")]
+    rows += [
+        (raw, runio.quoted(node.title), level_names[node.code.level - 1], rolled[raw])
+        for node in taxonomy.walk()
+        if (raw := node.code.raw) in rolled
+    ]
+    return runio.csv_text(rows, full_precision)
 
 
 def industry_csv(
@@ -43,14 +40,10 @@ def industry_csv(
     from .. import aggregate as agg
 
     result = agg.industry_exposure(matrix, r_occ)
-    lines = ["industry_id,name,score" if names else "industry_id,score"]
-    for ind in matrix.industries:
-        cells = [ind]
-        if names:
-            cells.append('"' + names.get(ind, "").replace('"', '""') + '"')
-        cells.append(runio.format_score(result[ind], full_precision))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    header = ("industry_id", "name", "score") if names else ("industry_id", "score")
+    rows = [(ind, runio.quoted(names.get(ind, "")), result[ind]) if names else (ind, result[ind])
+            for ind in matrix.industries]
+    return runio.csv_text([header, *rows], full_precision)
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
@@ -93,8 +86,6 @@ def cmd_demographic(args: argparse.Namespace) -> int:
     )
     r_ind = agg.read_industry_scores(config.add_input("industry_scores", args.industry_scores))
     result = agg.demographic_exposure(shares, r_ind)
-    lines = ["age_group,score"]
-    for group in shares.age_groups:
-        lines.append(f"{group},{runio.format_score(result[group], args.full_precision)}")
-    config.emit({"demographic": (Path(args.out), "\n".join(lines) + "\n")})
+    rows = [("age_group", "score"), *((group, result[group]) for group in shares.age_groups)]
+    config.emit({"demographic": (Path(args.out), runio.csv_text(rows, args.full_precision))})
     return EXIT_OK

@@ -25,10 +25,10 @@ def cmd_score(args: argparse.Namespace) -> int:
             titles = {code: node.title for code, node in taxonomy.index.items()}
         table = sc.ScoreTable(rows=sc.records_from_runs(runs, titles))
         if args.expert:
-            panel = sc.read_expert_panel(config.add_input("expert", args.expert))
+            means = sc.read_expert_panel(config.add_input("expert", args.expert))
             for row in table.rows:
-                if row.code in panel.scores:
-                    row.scores["expert"] = sc.expert_mean(panel, row.code)
+                if row.code in means:
+                    row.scores["expert"] = means[row.code]
     else:
         table = sc.recompute_ensemble(
             sc.read_score_table(config.add_input("scores", args.scores))

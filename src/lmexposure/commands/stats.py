@@ -66,11 +66,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         }
         config.parameters.update(mode="scatter", column=args.column)
         if args.plot_data:
-            triples = ["x,y,label"]
-            for code, _, x, y in report.rows:
-                x_text = runio.format_score(x, args.full_precision)
-                triples.append(f"{x_text},{runio.format_score(y, args.full_precision)},{code}")
-            plot["plot_data"] = (Path(args.plot_data), "\n".join(triples) + "\n")
+            triples = [("x", "y", "label"), *((x, y, code) for code, _, x, y in report.rows)]
+            plot["plot_data"] = (Path(args.plot_data), runio.csv_text(triples, args.full_precision))
     elif args.pair:
         a, b = args.pair
         result = lstats.correlation_panel({a: table.column(a), b: table.column(b)})[(a, b)]

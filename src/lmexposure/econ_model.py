@@ -16,10 +16,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import (
-    SHARE_SUM_TOL,
     ComputationError,
     ConfigError,
     InputFormatError,
+    check_sum_to_one,
     json_object,
     located,
     only_keys,
@@ -143,10 +143,7 @@ class Sector:
 
 def check_share_sum(sectors: Sequence[Sector]) -> None:
     total = sum(s.output_share for s in sectors)
-    if not abs(total - 1.0) <= SHARE_SUM_TOL:  # NaN fails too
-        raise ComputationError(
-            f"sector output shares sum to {total:.12g}, expected 1 within {SHARE_SUM_TOL}"
-        )
+    check_sum_to_one(total, "sector output shares sum", ComputationError)
 
 
 def adopt_decision(sector: Sector, law: GrowthLaw) -> int:

@@ -5,8 +5,9 @@ to the inputs given (``ConfigError``), problems with the bytes we were given
 (``InputFormatError``) and problems discovered while computing on otherwise
 well-formed inputs (``ComputationError``). A reader opens its file through
 ``csv_input`` or ``json_object``, which name the file, at its line, in every
-error; it checks its cells with ``parse_finite`` and ``code_cell``, and the
-keys of a JSON object with ``only_keys``.
+error; it checks its cells with ``parse_finite``, ``parse_score`` and
+``code_cell``, the keys of a JSON object with ``only_keys``, and a total of
+shares with ``check_sum_to_one``.
 """
 
 from __future__ import annotations
@@ -86,6 +87,21 @@ def parse_finite(value: object, what: str) -> float:
     if not math.isfinite(number):
         raise InputFormatError(f"{what} {value!r} is not a finite number")
     return number
+
+
+def parse_score(value: object, what: str) -> float:
+    """``parse_finite(value, what)``, or an InputFormatError unless it is in [0, 1]."""
+    number = parse_finite(value, what)
+    if not 0.0 <= number <= 1.0:
+        raise InputFormatError(f"{what} {number} is outside [0, 1]")
+    return number
+
+
+def check_sum_to_one(total: float, what: str, error: type[LmExposureError]) -> None:
+    """Raise ``error`` unless ``total`` is 1 within ``SHARE_SUM_TOL``, NaN failing too;
+    ``what`` names the shares with their verb, as in ``"vacancy shares sum"``."""
+    if not abs(total - 1.0) <= SHARE_SUM_TOL:
+        raise error(f"{what} to {total:.12g}, expected 1 within {SHARE_SUM_TOL}")
 
 
 def code_cell(cell: str) -> str:

@@ -15,9 +15,9 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
-    SHARE_SUM_TOL,
     ComputationError,
     InputFormatError,
+    check_sum_to_one,
     code_cell,
     csv_input,
     located,
@@ -168,11 +168,7 @@ class OutcomeSeries:
         self.kind = kind
         self.values = values
         if kind is OutcomeKind.VACANCY_SHARE and values:
-            total = sum(values.values())
-            if not abs(total - 1.0) <= SHARE_SUM_TOL:  # NaN fails too
-                raise ComputationError(
-                    f"vacancy shares sum to {total:.12g}, expected 1 within {SHARE_SUM_TOL}"
-                )
+            check_sum_to_one(sum(values.values()), "vacancy shares sum", ComputationError)
 
 
 class ScatterReport:

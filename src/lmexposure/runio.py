@@ -6,7 +6,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 # ``import hashlib`` loads OpenSSL, which costs a command more start-up than
 # hashing its few-KB files takes, so digests go through CPython's built-in
@@ -70,6 +70,20 @@ def format_score(value: float | None, full_precision: bool = False) -> str:
     if value is None:
         return ""
     return repr(value) if full_precision else f"{value:.4f}"
+
+
+def csv_text(rows: Iterable[Sequence[str | float]], full_precision: bool = False) -> str:
+    """CSV lines, each ending in a newline: a str cell as it is, any other through
+    ``format_score``. A cell that needs quotes is passed through ``quoted``."""
+    return "".join([
+        ",".join([c if type(c) is str else format_score(c, full_precision) for c in row]) + "\n"
+        for row in rows
+    ])
+
+
+def quoted(text: str) -> str:
+    """``text`` as one double-quoted CSV cell, its quotes doubled."""
+    return '"' + text.replace('"', '""') + '"'
 
 
 def dump_json(payload, full_precision: bool = False) -> str:

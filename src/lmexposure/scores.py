@@ -25,7 +25,7 @@ from .errors import (
     cells_at,
     code_cell,
     csv_input,
-    parse_finite,
+    parse_score,
 )
 from .runio import format_score
 
@@ -39,16 +39,11 @@ POINT_VALUES: dict[str, float] = {"E0": 0.0, "E1": 1.0, "E2": 0.5, "E3": 0.5}
 SCORE_TABLE_HEADER = ("code", "title", *SCORE_COLUMNS)
 
 
-def category_points(category: ExposureCategory) -> float:
-    """Point value of one rubric category."""
-    return POINT_VALUES[category.value]
-
-
 def model_score(samples: Sequence[ExposureCategory]) -> float:
     """Mean point value over one model's samples for one occupation."""
     if not samples:
         raise ComputationError("cannot score an empty sample list")
-    return sum(category_points(s) for s in samples) / len(samples)
+    return sum(POINT_VALUES[s.value] for s in samples) / len(samples)
 
 
 def ensemble(per_model_score: Mapping[str, float]) -> float:
@@ -58,37 +53,8 @@ def ensemble(per_model_score: Mapping[str, float]) -> float:
     return sum(per_model_score.values()) / len(per_model_score)
 
 
-class ExpertPanel:
-    """Individual expert scores per occupation code."""
-
-    def __init__(self, scores: dict[str, list[float]]) -> None:
-        self.scores = scores
-        for code, values in scores.items():
-            for v in values:
-                if not 0.0 <= v <= 1.0:
-                    raise ComputationError(
-                        f"expert score {v} for {code!r} is outside [0, 1]"
-                    )
-
-
-def expert_mean(panel: ExpertPanel, code: str) -> float:
-    """Average expert score for one occupation."""
-    if code not in panel.scores or not panel.scores[code]:
-        raise ComputationError(f"no expert scores for occupation {code!r}")
-    values = panel.scores[code]
-    return sum(values) / len(values)
-
-
-def _parse_score(cell: str | None, what: str) -> float:
-    """One score in [0, 1], or an InputFormatError."""
-    value = parse_finite(cell, what)
-    if not 0.0 <= value <= 1.0:
-        raise InputFormatError(f"{what} {value} is outside [0, 1]")
-    return value
-
-
-def read_expert_panel(source: str | Path) -> ExpertPanel:
-    """Read a long-format expert score file with header ``code,score``."""
+def read_expert_panel(source: str | Path) -> dict[str, float]:
+    """Each code's mean score in a long-format expert file with header ``code,score``."""
     scores: dict[str, list[float]] = {}
     with csv_input(source) as (header, rows, _):
         if header is None or not {"code", "score"}.issubset(header):
@@ -98,8 +64,8 @@ def read_expert_panel(source: str | Path) -> ExpertPanel:
         at_code, at_score = cells_at(header, ("code", "score"))
         for row in rows:
             code = code_cell(row[at_code])
-            scores.setdefault(code, []).append(_parse_score(row[at_score], "expert score"))
-    return ExpertPanel(scores=scores)
+            scores.setdefault(code, []).append(parse_score(row[at_score], "expert score"))
+    return {code: sum(values) / len(values) for code, values in scores.items()}
 
 
 # --- score table file --------------------------------------------------------
@@ -185,7 +151,7 @@ def read_score_table(source: str | Path | io.TextIOBase) -> ScoreTable:
                         continue
                     value = math.nan
                 if not 0.0 <= value <= 1.0:  # NaN too
-                    _parse_score(cell.strip(), f"{name} value")  # raises with the cell's message
+                    parse_score(cell.strip(), f"{name} value")  # raises with the cell's message
                 scores[name] = value
             rows.append(ScoreRow(code, row[1], scores))
     return ScoreTable(rows)

@@ -5,7 +5,8 @@ format) by replacing one of its tokens, then runs the matching reader,
 ``validate`` and the command that reads the file, all through ``cli.main``.
 Every exit code must be 0, 2, 3 or 4; a reader either loads the file or
 raises an ``InputFormatError`` naming it, and then ``validate`` and the
-command both exit 3 naming it too.
+command both exit 3 naming it too. A pinned mutation in ``EXITS`` must give
+its command one exit code.
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ CASES = {
 # The file a command reads besides the mutated one, written as STORE.
 SIDE_FILES = {"demographics": INDUSTRY_SCORES}
 
+# Written over the first store record's ``code`` key: a record with no samples before it.
+NO_SAMPLES = 'code": "2-01", "model_id": "glm", "raw_responses": [], "samples": []}\n{"code'
+
 # A token is a run of text between delimiters of CSV, JSON or JSON lines.
 _SPLIT = re.compile(r'([\s,":\[\]{}]+)')
 # A CSV field past the csv module's size limit, and JSON nested past the recursion limit.
@@ -149,6 +153,16 @@ def _mutate(text: str, index: int, token: str) -> str:
 def _at(case: str, old: str) -> int:
     """Index of the first token ``old`` of a case's seed, for pinned examples."""
     return _SPLIT.split(CASES[case][0]).index(old) // 2
+
+
+# Pinned mutations -> the exit code the command must give: each once gave
+# another, or named no file.
+EXITS = {
+    ("annotations", _at("annotations", "code"), NO_SAMPLES): 3,
+    ("industry_scores", _at("industry_scores", "0.5"), "1.5"): 3,  # a score outside [0, 1]
+    ("intensity", _at("intensity", "2-01"), " 2-01"): 0,  # a padded code is the code
+    ("intensity", _at("intensity", "2-02"), "2-01 "): 3,  # so this column repeats 2-01
+}
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -185,6 +199,10 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @example(case="industry_scores", index=_at("industry_scores", "0.5"), token="0.5,0.9")
 @example(case="intensity", index=_at("intensity", "2-02"), token="2-01")  # column twice
 @example(case="demographics", index=_at("demographics", "2"), token="1")  # column twice
+@example(case="annotations", index=_at("annotations", "code"), token=NO_SAMPLES)
+@example(case="industry_scores", index=_at("industry_scores", "0.5"), token="1.5")
+@example(case="intensity", index=_at("intensity", "2-01"), token=" 2-01")
+@example(case="intensity", index=_at("intensity", "2-02"), token="2-01 ")
 @example(  # sector shares sum to 1.1
     case="scenario", index=_at("scenario", "0.09803892433247162"), token="0.19803892433247162"
 )
@@ -221,6 +239,7 @@ def test_mutated_input_loads_or_names_the_file(case, index, token):
 
         code, output = _run([names.get(a, a) for a in argv])
         assert code in (0, 2, 3, 4), output
+        assert code == EXITS.get((case, index, token), code), output
         if error is not None:
             assert code == 3, output
         if code == 3:

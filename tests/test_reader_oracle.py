@@ -157,7 +157,7 @@ def reference_header(columns: list[str]):
         codes = [_code(c) for c in columns]
     except Refused as refused:
         return (*refused.args, 1)
-    repeated = [c for i, c in enumerate(columns) if c in columns[:i]]
+    repeated = [c for i, c in enumerate(codes) if c in codes[:i]]
     if repeated:
         return InputFormatError, f"header names column {repeated[0]!r} twice", 1
     levels = {c.count("-") for c in codes}
@@ -293,7 +293,7 @@ def test_intensity_header_matches_the_per_cell_reference(columns):
             assert (type(exc), str(exc), exc.line) == (cls, f"{where}: {message}", line)
             return
     assert isinstance(expected, list), expected
-    assert matrix.occupations == columns
+    assert matrix.occupations == expected
 
 
 values = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))

@@ -14,10 +14,7 @@ from lmexposure.cli import main
 from lmexposure.errors import ComputationError, InputFormatError
 from lmexposure.scores import (
     MODEL_COLUMNS,
-    ExpertPanel,
-    category_points,
     ensemble,
-    expert_mean,
     model_score,
     read_expert_panel,
     read_score_table,
@@ -39,7 +36,7 @@ CATEGORIES = st.sampled_from(list(ExposureCategory))
     "category,points", [(E0, 0.0), (E1, 1.0), (E2, 0.5), (E3, 0.5)]
 )
 def test_category_points(category, points):
-    assert category_points(category) == points
+    assert model_score([category]) == points
 
 
 def test_model_score_examples():
@@ -111,39 +108,37 @@ def test_ensemble_model_relabeling_invariant(per_model):
 # --- experts --------------------------------------------------------------------
 
 
-def test_expert_mean_examples():
-    panel = ExpertPanel(scores={"2-06": [0.4, 0.6], "2-08": [0.2] * 21})
-    assert expert_mean(panel, "2-06") == pytest.approx(0.5)
-    assert expert_mean(panel, "2-08") == pytest.approx(0.2)
+def _panel(tmp_path, rows: list[tuple[str, float]]):
+    path = tmp_path / "panel.csv"
+    path.write_text("code,score\n" + "".join(f"{code},{v!r}\n" for code, v in rows))
+    return read_expert_panel(path)
 
 
-def test_expert_mean_synthetic_panel_matches_sum_oracle():
+def test_expert_mean_examples(tmp_path):
+    means = _panel(tmp_path, [("2-06", 0.4), ("2-06", 0.6)] + [("2-08", 0.2)] * 21)
+    assert means["2-06"] == pytest.approx(0.5)
+    assert means["2-08"] == pytest.approx(0.2)
+
+
+def test_expert_mean_synthetic_panel_matches_sum_oracle(tmp_path):
     rng = random.Random(7)
     values = [rng.choice([0, 0.2, 0.4, 0.6, 0.8, 1.0]) for _ in range(21)]
-    panel = ExpertPanel(scores={"2-01": values})
+    means = _panel(tmp_path, [("2-01", v) for v in values])
     total = 0.0
     for v in values:
         total += v
-    assert expert_mean(panel, "2-01") == pytest.approx(total / 21, abs=1e-15)
+    assert means["2-01"] == pytest.approx(total / 21, abs=1e-15)
 
 
-def test_expert_mean_unknown_code():
-    panel = ExpertPanel(scores={})
-    with pytest.raises(ComputationError):
-        expert_mean(panel, "9-99")
-
-
-def test_expert_panel_range_validated():
-    with pytest.raises(ComputationError):
-        ExpertPanel(scores={"2-01": [1.2]})
+def test_expert_mean_unknown_code(tmp_path):
+    # A code the panel does not name has no mean, so ``score`` leaves its cell empty.
+    assert "9-99" not in _panel(tmp_path, [("2-01", 0.5)])
 
 
 def test_read_expert_panel(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("code,score\n2-01,0.4\n2-01,0.6\n2-02,1.0\n")
-    panel = read_expert_panel(path)
-    assert panel.scores == {"2-01": [0.4, 0.6], "2-02": [1.0]}
-    assert expert_mean(panel, "2-01") == pytest.approx(0.5)
+    assert read_expert_panel(path) == {"2-01": pytest.approx(0.5), "2-02": 1.0}
 
 
 @pytest.mark.parametrize("bad", ["1.5", "-0.1"])
