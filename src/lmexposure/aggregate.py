@@ -120,7 +120,7 @@ def _read_share_file(source: str | Path, key_column: str):
     """(row labels, columns, float rows of the header's width) for a constructor to check.
 
     Intensity columns are read as codes here, in ``code_cell`` form, so a bad one is
-    named at line 1, and a column padded with spaces repeats or matches its code.
+    named at line 1; a label or column padded with spaces repeats or matches its id.
     """
     rows: dict[str, list[float]] = {}
     with csv_input(source) as (header, lines, _):
@@ -130,32 +130,35 @@ def _read_share_file(source: str | Path, key_column: str):
         columns = header[1:]
         if not columns:
             raise InputFormatError("share file has no weight columns")
-        if key_column == "industry_id":  # intensity columns are occupation codes
-            columns = [code_cell(code) for code in columns]
+        # Intensity columns are occupation codes; demographics columns are industry ids.
+        clean = code_cell if key_column == "industry_id" else str.strip
+        columns = [clean(column) for column in columns]
         if len(set(columns)) < len(columns):  # weights meet scores by column name
             repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
             raise InputFormatError(f"header names column {repeated!r} twice", line=1)
         for row in lines:
-            if row[0] in rows:  # results are keyed by label: a repeat would replace
-                raise InputFormatError(f"duplicate {key_column} {row[0]!r}")
+            label = row[0].strip()
+            if label in rows:  # results are keyed by label: a repeat would replace
+                raise InputFormatError(f"duplicate {key_column} {label!r}")
             try:
-                rows[row[0]] = list(map(float, row[1:]))
+                rows[label] = list(map(float, row[1:]))
             except ValueError as exc:
                 raise InputFormatError(f"non-numeric share: {exc}") from None
     return list(rows), columns, list(rows.values())
 
 
 def _read_industry_column(source: str | Path, column: str, parse: Callable[[str], object]) -> dict:
-    """``industry_id`` -> ``parse(row[column])``; a repeated id is an input error."""
+    """Stripped ``industry_id`` -> ``parse(row[column])``; a repeated id is an input error."""
     values = {}
     with csv_input(source) as (header, rows, _):
         if not {"industry_id", column}.issubset(header or ()):
             raise InputFormatError(f"header must contain industry_id,{column}", line=1)
         at_id, at_value = cells_at(header, ("industry_id", column))
         for row in rows:
-            if row[at_id] in values:
-                raise InputFormatError(f"duplicate industry_id {row[at_id]!r}")
-            values[row[at_id]] = parse(row[at_value])
+            industry = row[at_id].strip()
+            if industry in values:
+                raise InputFormatError(f"duplicate industry_id {industry!r}")
+            values[industry] = parse(row[at_value])
     return values
 
 

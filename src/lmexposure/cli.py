@@ -73,7 +73,6 @@ def _annotate_arguments(p: argparse.ArgumentParser) -> None:
         help="which taxonomy nodes to annotate (default leaf nodes)",
     )
     p.add_argument("--out", required=True, help="annotation store JSONL to create")
-    p.set_defaults(handler=("annotate", "cmd_annotate"))
 
 
 def _score_arguments(p: argparse.ArgumentParser) -> None:
@@ -83,7 +82,6 @@ def _score_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--taxonomy", help="taxonomy CSV for occupation titles")
     p.add_argument("--expert", help="expert panel CSV (code,score rows, one per expert)")
     _add_common(p)
-    p.set_defaults(handler=("score", "cmd_score"))
 
 
 def _aggregate_arguments(p: argparse.ArgumentParser) -> None:
@@ -91,7 +89,6 @@ def _aggregate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scores", required=True, help="score table supplying leaf scores")
     p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     _add_common(p)
-    p.set_defaults(handler=("aggregate", "cmd_aggregate"))
 
 
 def _industry_arguments(p: argparse.ArgumentParser) -> None:
@@ -100,14 +97,12 @@ def _industry_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     p.add_argument("--industries", help="optional industry id/name list for labeling")
     _add_common(p)
-    p.set_defaults(handler=("aggregate", "cmd_industry"))
 
 
 def _demographic_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--demographics", required=True, help="age group x industry share matrix CSV")
     p.add_argument("--industry-scores", required=True, help="industry exposure CSV")
     _add_common(p)
-    p.set_defaults(handler=("aggregate", "cmd_demographic"))
 
 
 def _stats_arguments(p: argparse.ArgumentParser) -> None:
@@ -120,14 +115,12 @@ def _stats_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     p.add_argument("--plot-data", help="also write (x,y,label) triples to this path")
     _add_common(p)
-    p.set_defaults(handler=("stats", "cmd_stats"))
 
 
 def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, help="scenario JSON: growth law, rho, sectors")
     p.add_argument("--industry-scores", help="industry scores for sectors without an exposure")
     _add_common(p)
-    p.set_defaults(handler=("adoption", "cmd_simulate"))
 
 
 def _contour_arguments(p: argparse.ArgumentParser) -> None:
@@ -136,7 +129,6 @@ def _contour_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-grid", help="lo:hi:n or comma list (default 0:0.95:21)")
     p.add_argument("--ratio-grid", help="lo:hi:n or comma list (default 0:1:21)")
     _add_common(p)
-    p.set_defaults(handler=("adoption", "cmd_contour"))
 
 
 def _validate_arguments(p: argparse.ArgumentParser) -> None:
@@ -150,7 +142,6 @@ def _validate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario")
     p.add_argument("--annotations")
     p.add_argument("--mock")
-    p.set_defaults(handler=("validate", "cmd_validate"))
 
 
 def _pipeline_arguments(p: argparse.ArgumentParser) -> None:
@@ -160,21 +151,21 @@ def _pipeline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--column", default="ensemble", choices=SCORE_COLUMNS)
     p.add_argument("--outdir", required=True, help="directory for the four output files")
     p.add_argument("--full-precision", action="store_true")
-    p.set_defaults(handler=("pipeline", "cmd_pipeline"))
 
 
-# command -> (help, function that adds its arguments and its handler)
+# command -> (help, its handler module in ``commands``, which defines
+# ``cmd_<command>``, and the function that adds its arguments)
 _COMMANDS = {
-    "annotate": ("annotate occupations through a classifier client", _annotate_arguments),
-    "score": ("build the canonical score table", _score_arguments),
-    "aggregate": ("roll leaf scores up the taxonomy", _aggregate_arguments),
-    "industry": ("project occupational scores onto industries", _industry_arguments),
-    "demographic": ("project industry scores onto age groups", _demographic_arguments),
-    "stats": ("summary panels, correlations, scatter reports", _stats_arguments),
-    "simulate": ("solve adoption decisions for a scenario", _simulate_arguments),
-    "contour": ("growth over a damage x adoption-ratio grid", _contour_arguments),
-    "validate": ("dry-run checks on input files, no computation", _validate_arguments),
-    "pipeline": ("score, aggregate, industry, stats in one run", _pipeline_arguments),
+    "annotate": ("annotate occupations through a classifier client", "annotate", _annotate_arguments),
+    "score": ("build the canonical score table", "score", _score_arguments),
+    "aggregate": ("roll leaf scores up the taxonomy", "aggregate", _aggregate_arguments),
+    "industry": ("project occupational scores onto industries", "aggregate", _industry_arguments),
+    "demographic": ("project industry scores onto age groups", "aggregate", _demographic_arguments),
+    "stats": ("summary panels, correlations, scatter reports", "stats", _stats_arguments),
+    "simulate": ("solve adoption decisions for a scenario", "adoption", _simulate_arguments),
+    "contour": ("growth over a damage x adoption-ratio grid", "adoption", _contour_arguments),
+    "validate": ("dry-run checks on input files, no computation", "validate", _validate_arguments),
+    "pipeline": ("score, aggregate, industry, stats in one run", "pipeline", _pipeline_arguments),
 }
 
 
@@ -193,8 +184,8 @@ _NEEDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of ``command`` alone, or of every command if it names none.
 
-    Each command's ``handler`` names its module in ``commands`` and its function.
-    ``get_default("command_parsers")`` maps each command to its own parser.
+    ``get_default("command_parsers")`` maps each command to its own parser; its
+    handler is named by ``_COMMANDS``, not by the parser.
     """
     parser = argparse.ArgumentParser(
         prog="lmexposure",
@@ -205,7 +196,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
+    for name, (help_text, _, add_arguments) in _COMMANDS.items():
         if command in _COMMANDS and name != command:
             continue
         add_arguments(sub.add_parser(name, help=help_text))
@@ -227,9 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         for (command, option), (needed, reason) in _NEEDS.items():
             if command == args.command and given(option) and not given(needed):
                 raise ConfigError(f"{option} {reason}")
-        module_name, handler_name = args.handler
-        module = importlib.import_module(f".commands.{module_name}", __package__)
-        return getattr(module, handler_name)(args)
+        module = importlib.import_module(f".commands.{_COMMANDS[args.command][1]}", __package__)
+        return getattr(module, f"cmd_{args.command}")(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

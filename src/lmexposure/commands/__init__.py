@@ -1,6 +1,6 @@
 """One module per command group; ``cli.main`` imports only the one it runs.
 
-A handler takes the parsed ``argparse.Namespace`` and returns an exit code.
+A handler, ``cmd_<command>``, takes the parsed ``argparse.Namespace`` and returns an exit code.
 No module here imports ``lmexposure.cli``: under ``python -m lmexposure.cli``
 the running module is ``__main__``, so that import would run ``cli.py`` again.
 Stage functions are called through their module (``runio.csv_text``), not

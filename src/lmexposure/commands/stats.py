@@ -12,30 +12,14 @@ from ..errors import EXIT_OK
 from . import RunConfig
 
 
-def corr_payload(result: lstats.CorrResult) -> dict[str, object]:
-    return {
-        "r": result.r,
-        "n": result.n,
-        "p_value": result.p_value,
-        "stars": result.stars,
-    }
-
-
 def summary_payload(table: sc.ScoreTable) -> dict[str, object]:
     """Per-column count/mean/std and every pairwise correlation."""
     columns = {name: column for name in sc.SCORE_COLUMNS if (column := table.column(name))}
-    summary = {
-        name: {
-            "count": (entry := lstats.summarize(list(values.values()))).count,
-            "mean": entry.mean,
-            "std": entry.std,
-        }
-        for name, values in columns.items()
-    }
+    summary = {name: lstats.summarize(list(v.values()))._asdict() for name, v in columns.items()}
     panel = lstats.correlation_panel(columns)
     names = list(columns)
     correlations = [
-        {"a": a, "b": b, **corr_payload(panel[(a, b)])}
+        {"a": a, "b": b, **panel[(a, b)]._asdict()}
         for i, a in enumerate(names)
         for b in names[i + 1 :]
     ]
@@ -56,7 +40,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "column": args.column,
             "outcome_kind": outcome.kind.value,
             "n": report.n,
-            "corr": corr_payload(report.corr),
+            "corr": report.corr._asdict(),
             "slope": report.slope,
             "intercept": report.intercept,
             "rows": [
@@ -71,7 +55,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     elif args.pair:
         a, b = args.pair
         result = lstats.correlation_panel({a: table.column(a), b: table.column(b)})[(a, b)]
-        payload = {"kind": "pair", "a": a, "b": b, **corr_payload(result)}
+        payload = {"kind": "pair", "a": a, "b": b, **result._asdict()}
         config.parameters.update(mode="pair", a=a, b=b)
     else:
         payload = summary_payload(table)

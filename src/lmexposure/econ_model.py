@@ -238,6 +238,13 @@ _TABULATED_LAW_KEYS = frozenset({"kind", "points"})
 _SECTOR_KEYS = frozenset({"id", "share", "exposure", "delta"})
 
 
+def _number(value: object, what: str) -> float:
+    """A scenario number: a JSON number, not a string or a boolean, that is finite."""
+    if type(value) not in (int, float):
+        raise InputFormatError(f"{what} {value!r} is not a JSON number")
+    return parse_finite(value, what)
+
+
 def load_scenario(
     source: str | Path, industry_scores: str | Path | None = None
 ) -> tuple[list[Sector], GrowthLaw]:
@@ -259,18 +266,19 @@ def load_scenario(
       ``industry_scores``, an ``industry_id,score`` file as ``industry``
       writes it, which must score exactly those sectors.
 
-    Every number must be finite. A key outside these lists, in the scenario,
-    its tabulated law or a sector, is refused rather than left unread, so a
-    misspelt key cannot leave its field at the default. Every fault of the
-    file raises ``InputFormatError`` at ``source``. ``industry_scores`` on a
-    scenario where every sector gives its own exposure raises ``ConfigError``.
+    Every number must be a finite JSON number, not a string or a boolean. A
+    key outside these lists, in the scenario, its tabulated law or a sector,
+    is refused rather than left unread, so a misspelt key cannot leave its
+    field at the default. Every fault of the file raises ``InputFormatError``
+    at ``source``. ``industry_scores`` on a scenario where every sector gives
+    its own exposure raises ``ConfigError``.
     """
     config = json_object(source, "scenario")
     with located(source):
         law_spec = config.get("law", "exponential")
         if law_spec == "exponential":
             only_keys(config, _SCENARIO_KEYS, "scenario")
-            law: GrowthLaw = ExponentialGrowth(rho=parse_finite(config.get("rho", 1.0), "rho"))
+            law: GrowthLaw = ExponentialGrowth(rho=_number(config.get("rho", 1.0), "rho"))
         elif isinstance(law_spec, dict) and law_spec.get("kind") == "tabulated":
             only_keys(config, _SCENARIO_KEYS - {"rho"}, "scenario with a tabulated law")
             only_keys(law_spec, _TABULATED_LAW_KEYS, "tabulated law")
@@ -282,7 +290,7 @@ def load_scenario(
                     "tabulated law needs 'points' as a list of [exposure, factor] pairs"
                 )
             law = TabulatedGrowth(
-                points=tuple(tuple(parse_finite(v, "law point") for v in p) for p in points)
+                points=tuple(tuple(_number(v, "law point") for v in p) for p in points)
             )
         else:
             raise InputFormatError(f"growth law {law_spec!r} is not 'exponential' or tabulated")
@@ -307,7 +315,7 @@ def load_scenario(
                 raise InputFormatError(f"sector id {sector_id!r} appears more than once")
             specs[sector_id] = spec
             if "exposure" in spec:
-                exposures[sector_id] = parse_finite(spec["exposure"], "sector exposure")
+                exposures[sector_id] = _number(spec["exposure"], "sector exposure")
         unexposed = [i for i in specs if i not in exposures]
         if unexposed and industry_scores is not None:
             from . import aggregate
@@ -333,8 +341,8 @@ def load_scenario(
             sectors.append(
                 Sector(
                     id=sector_id,
-                    output_share=parse_finite(spec["share"], "sector share"),
-                    damage_ratio=parse_finite(spec["delta"], "sector delta"),
+                    output_share=_number(spec["share"], "sector share"),
+                    damage_ratio=_number(spec["delta"], "sector delta"),
                     exposure=exposures[sector_id],
                 )
             )

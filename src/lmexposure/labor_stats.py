@@ -171,20 +171,13 @@ class OutcomeSeries:
             check_sum_to_one(sum(values.values()), "vacancy shares sum", ComputationError)
 
 
-class ScatterReport:
+class ScatterReport(NamedTuple):
     """Paired exposure/outcome rows with correlation and OLS fit line."""
 
-    def __init__(
-        self,
-        rows: list[tuple[str, str, float, float]],  # (code, title, exposure, outcome)
-        corr: CorrResult,
-        slope: float,
-        intercept: float,
-    ) -> None:
-        self.rows = rows
-        self.corr = corr
-        self.slope = slope
-        self.intercept = intercept
+    rows: list[tuple[str, str, float, float]]  # (code, title, exposure, outcome)
+    corr: CorrResult
+    slope: float
+    intercept: float
 
     @property
     def n(self) -> int:

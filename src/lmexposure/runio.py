@@ -65,18 +65,13 @@ def round_floats(value):
     return value
 
 
-def format_score(value: float | None, full_precision: bool = False) -> str:
-    """One CSV cell: 4 decimals, ``repr`` at full precision, empty for None."""
-    if value is None:
-        return ""
-    return repr(value) if full_precision else f"{value:.4f}"
-
-
-def csv_text(rows: Iterable[Sequence[str | float]], full_precision: bool = False) -> str:
-    """CSV lines, each ending in a newline: a str cell as it is, any other through
-    ``format_score``. A cell that needs quotes is passed through ``quoted``."""
+def csv_text(rows: Iterable[Sequence[str | float | None]], full_precision: bool = False) -> str:
+    """CSV lines, each ending in a newline: a str cell as it is, None empty, and a
+    number at 4 decimals, or its ``repr`` at full precision. A cell that needs
+    quotes is passed through ``quoted``."""
+    number = repr if full_precision else "{:.4f}".format
     return "".join([
-        ",".join([c if type(c) is str else format_score(c, full_precision) for c in row]) + "\n"
+        ",".join([c if type(c) is str else "" if c is None else number(c) for c in row]) + "\n"
         for row in rows
     ])
 

@@ -10,15 +10,13 @@ only when writing the score table.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import re
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from . import MODEL_COLUMNS, SCORE_COLUMNS
+from . import MODEL_COLUMNS, SCORE_COLUMNS, runio
 from .errors import (
     ComputationError,
     InputFormatError,
@@ -27,7 +25,6 @@ from .errors import (
     csv_input,
     parse_score,
 )
-from .runio import format_score
 
 if TYPE_CHECKING:  # hints only: importing scores must not load annotate
     from .annotate import AnnotationRun, ExposureCategory
@@ -157,28 +154,19 @@ def read_score_table(source: str | Path | io.TextIOBase) -> ScoreTable:
     return ScoreTable(rows)
 
 
-# Characters that make ``csv.writer`` quote a title (or that might, in some version).
+# A title holding one of these is written as one quoted cell.
 _QUOTED_TITLE = re.compile('[",\r\n]')
 
 
 def render_score_table(table: ScoreTable, full_precision: bool = False) -> str:
-    """Serialize a score table to CSV text (4-decimal unless full precision).
-
-    A row with every score and a title that needs no quotes is one %-format,
-    as ``csv.writer`` would write it; any other row goes through the writer.
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SCORE_TABLE_HEADER)
-    line = "%s,%s," + ",".join(["%r" if full_precision else "%.4f"] * len(SCORE_COLUMNS)) + "\n"
-    cells = itemgetter(*SCORE_COLUMNS)
-    for row in table.rows:
-        if len(row.scores) == len(SCORE_COLUMNS) and not _QUOTED_TITLE.search(row.title):
-            buffer.write(line % (row.code, row.title, *cells(row.scores)))
-        else:
-            scores = (format_score(row.scores.get(name), full_precision) for name in SCORE_COLUMNS)
-            writer.writerow([row.code, row.title, *scores])
-    return buffer.getvalue()
+    """Serialize a score table to CSV text (4-decimal unless full precision);
+    a missing score is an empty cell."""
+    rows = [
+        (row.code, runio.quoted(row.title) if _QUOTED_TITLE.search(row.title) else row.title,
+         *[row.scores.get(name) for name in SCORE_COLUMNS])
+        for row in table.rows
+    ]
+    return runio.csv_text([SCORE_TABLE_HEADER, *rows], full_precision)
 
 
 def recompute_ensemble(table: ScoreTable) -> ScoreTable:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import csv
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ from lmexposure.cli import (
     EXIT_INPUT,
     EXIT_OK,
     CLIENT_ENV_VAR,
+    _COMMANDS,
     build_parser,
     main,
 )
@@ -1106,8 +1108,7 @@ def test_every_subcommand_has_help(capsys):
 
 def test_parser_of_a_named_command_holds_that_command_alone(capsys):
     parser = build_parser("score")
-    args = parser.parse_args(["score", "--scores", "t.csv", "--out", "o.csv"])
-    assert args.handler == ("score", "cmd_score")
+    assert parser.parse_args(["score", "--scores", "t.csv", "--out", "o.csv"]).command == "score"
     with pytest.raises(SystemExit) as err:
         parser.parse_args(["stats", "--scores", "t.csv", "--out", "o.csv"])
     assert err.value.code == 2
@@ -1115,6 +1116,12 @@ def test_parser_of_a_named_command_holds_that_command_alone(capsys):
     with pytest.raises(SystemExit):  # an unknown name builds every command
         build_parser("transmogrify").parse_args(["transmogrify"])
     assert "'pipeline'" in capsys.readouterr().err
+
+
+def test_every_command_module_defines_its_handler():
+    for command, (_, module_name, _) in _COMMANDS.items():
+        module = importlib.import_module(f"lmexposure.commands.{module_name}")
+        assert callable(getattr(module, f"cmd_{command}", None)), (module_name, command)
 
 
 def test_cli_imports_only_the_standard_library():

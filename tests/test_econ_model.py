@@ -536,6 +536,12 @@ def test_scenario_errors(tmp_path):
         "repeated_id": {"sectors": [half, half]},
         "empty_id": {"sectors": [{**sector, "id": ""}]},
         "numeric_id": {"sectors": [{**half, "id": "2"}, {**half, "id": 2}]},
+        # A number is a JSON number: neither a string nor a boolean.
+        "string_share": {"sectors": [{**sector, "share": "1"}]},
+        "boolean_rho": {"rho": True, "sectors": [sector]},
+        "boolean_exposure": {"sectors": [{**sector, "exposure": True}]},
+        "boolean_delta": {"sectors": [{**sector, "delta": False}]},
+        "string_point": {"law": {"kind": "tabulated", "points": [[0, "1"]]}, "sectors": [sector]},
     }
     for name, config in malformed.items():
         path = tmp_path / f"{name}.json"
@@ -546,6 +552,15 @@ def test_scenario_errors(tmp_path):
         load_scenario(tmp_path / "repeated_id.json")
     with pytest.raises(InputFormatError, match="sector 2 needs a non-empty string id, got 2$"):
         load_scenario(tmp_path / "numeric_id.json")
+    for name, message in (
+        ("string_share", "sector share '1' is not a JSON number"),
+        ("boolean_rho", "rho True is not a JSON number"),
+        ("boolean_exposure", "sector exposure True is not a JSON number"),
+        ("boolean_delta", "sector delta False is not a JSON number"),
+        ("string_point", "law point '1' is not a JSON number"),
+    ):
+        with pytest.raises(InputFormatError, match=re.escape(message) + "$"):
+            load_scenario(tmp_path / f"{name}.json")
 
 
 def test_industry_scores_on_a_scenario_where_every_sector_has_an_exposure_are_refused(tmp_path):

@@ -162,6 +162,11 @@ EXITS = {
     ("industry_scores", _at("industry_scores", "0.5"), "1.5"): 3,  # a score outside [0, 1]
     ("intensity", _at("intensity", "2-01"), " 2-01"): 0,  # a padded code is the code
     ("intensity", _at("intensity", "2-02"), "2-01 "): 3,  # so this column repeats 2-01
+    ("demographics", _at("demographics", "1"), " 1"): 0,  # a padded industry id is the id
+    ("industry_scores", _at("industry_scores", "1"), " 1"): 0,
+    ("industries", _at("industries", "1"), " 1"): 0,
+    ("scenario", _at("scenario", "1.0"), "true"): 3,  # rho: a boolean is no number
+    ("scenario", _at("scenario", "0.4737"), "false"): 3,  # a sector's delta
 }
 
 
@@ -203,6 +208,11 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @example(case="industry_scores", index=_at("industry_scores", "0.5"), token="1.5")
 @example(case="intensity", index=_at("intensity", "2-01"), token=" 2-01")
 @example(case="intensity", index=_at("intensity", "2-02"), token="2-01 ")
+@example(case="demographics", index=_at("demographics", "1"), token=" 1")
+@example(case="industry_scores", index=_at("industry_scores", "1"), token=" 1")
+@example(case="industries", index=_at("industries", "1"), token=" 1")
+@example(case="scenario", index=_at("scenario", "1.0"), token="true")
+@example(case="scenario", index=_at("scenario", "0.4737"), token="false")
 @example(  # sector shares sum to 1.1
     case="scenario", index=_at("scenario", "0.09803892433247162"), token="0.19803892433247162"
 )

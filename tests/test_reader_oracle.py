@@ -1,12 +1,12 @@
 """Reference readers and writers for the fast paths of the full-size commands.
 
 Readers take a code cell in plain form as the code, without
-``OccupationCode.parse``; the score-table writer formats a complete row at
-once; ``recompute_ensemble`` copies each row's scores; the correlation panel
-computes each column's moments once. Each reference below is the
-straightforward per-cell or per-pair version, and hypothesis checks that the
-package returns the same values to the bit, or raises the same class with
-the same message on the same line.
+``OccupationCode.parse``; the score-table writer quotes a title itself,
+without ``csv.writer``; ``recompute_ensemble`` copies each row's scores; the
+correlation panel computes each column's moments once. Each reference below
+is the straightforward per-cell or per-pair version, and hypothesis checks
+that the package returns the same values to the bit, or raises the same
+class with the same message on the same line.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from lmexposure.scores import (
     SCORE_TABLE_HEADER,
     ScoreRow,
     ScoreTable,
-    format_score,
     read_score_table,
     recompute_ensemble,
     render_score_table,
@@ -102,14 +101,24 @@ def reference_score_table(text: str):
     return rows
 
 
+def reference_cell(value: float | None, full_precision: bool) -> str:
+    if value is None:
+        return ""
+    return repr(value) if full_precision else f"{value:.4f}"
+
+
 def reference_render(table: ScoreTable, full_precision: bool) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SCORE_TABLE_HEADER)
-    for row in table.rows:
-        cells = [format_score(row.scores.get(name), full_precision) for name in SCORE_COLUMNS]
-        writer.writerow([row.code, row.title, *cells])
-    return buffer.getvalue()
+    """Each line as ``csv.writer`` writes it with CRLF line ends, which quotes a
+    title holding a bare carriage return too, then ended in a newline."""
+    lines = []
+    for row in [SCORE_TABLE_HEADER, *table.rows]:
+        if isinstance(row, ScoreRow):
+            scores = [reference_cell(row.scores.get(n), full_precision) for n in SCORE_COLUMNS]
+            row = [row.code, row.title, *scores]
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 def reference_ensemble(scores: dict[str, float]) -> dict[str, float]:
@@ -268,10 +277,16 @@ any_titles = st.text(alphabet=st.sampled_from('ab ,"\r\n\t'), max_size=6)
 
 @settings(ORACLE, max_examples=200)
 @given(rows=st.lists(st.tuples(any_titles, score_maps), max_size=5))
+@example(rows=[("a\rb", {"glm": 0.1, "ensemble": 0.1}), ("a,\r", {})])
 def test_render_matches_the_csv_writer_on_any_title(rows):
     table = ScoreTable([ScoreRow(f"2-{i:02d}", title, s) for i, (title, s) in enumerate(rows)])
     for full_precision in (False, True):
         assert render_score_table(table, full_precision) == reference_render(table, full_precision)
+    text = render_score_table(table, full_precision=True)
+    back = read_score_table(io.StringIO(text, newline=""))
+    assert [(row.title, dict(_bits(row.scores))) for row in back.rows] == [
+        (row.title, dict(_bits(row.scores))) for row in table.rows
+    ]
 
 
 @settings(ORACLE, max_examples=300)

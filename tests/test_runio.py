@@ -70,3 +70,29 @@ def test_no_module_imports_hashlib_on_import():
         if _imports_hashlib(node)
     ]
     assert offenders == []
+
+
+_CSV_WRITERS = {"writer", "DictWriter"}
+
+
+def _names_a_csv_writer(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr in _CSV_WRITERS and isinstance(node.value, ast.Name) and (
+            node.value.id == "csv"
+        )
+    return isinstance(node, ast.ImportFrom) and node.module == "csv" and any(
+        alias.name in _CSV_WRITERS for alias in node.names
+    )
+
+
+def test_csv_text_is_the_one_csv_writer():
+    # Every CSV output goes through ``runio.csv_text``; a second writer could
+    # quote a cell or end a line its own way.
+    package = Path(lmexposure.__file__).parent
+    offenders = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _names_a_csv_writer(node)
+    ]
+    assert offenders == []
