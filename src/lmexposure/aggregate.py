@@ -147,13 +147,13 @@ def _read_share_file(source: str | Path, key_column: str):
     return list(rows), columns, list(rows.values())
 
 
-def _read_industry_column(source: str | Path, column: str, parse: Callable[[str], object]) -> dict:
+def _read_industry_column(
+    source: str | Path, column: str, parse: Callable[[str], object], what: str
+) -> dict:
     """Stripped ``industry_id`` -> ``parse(row[column])``; a repeated id is an input error."""
     values = {}
     with csv_input(source) as (header, rows, _):
-        if not {"industry_id", column}.issubset(header or ()):
-            raise InputFormatError(f"header must contain industry_id,{column}", line=1)
-        at_id, at_value = cells_at(header, ("industry_id", column))
+        at_id, at_value = cells_at(header, ("industry_id", column), what)
         for row in rows:
             industry = row[at_id].strip()
             if industry in values:
@@ -164,13 +164,15 @@ def _read_industry_column(source: str | Path, column: str, parse: Callable[[str]
 
 def read_industry_names(source: str | Path) -> dict[str, str]:
     """Read an industry list with header ``industry_id,name``."""
-    return _read_industry_column(source, "name", str)
+    return _read_industry_column(source, "name", str, "industry list")
 
 
 def read_industry_scores(source: str | Path) -> dict[str, float]:
     """Read an industry exposure file with header ``industry_id,score``; each
     score is in [0, 1]."""
-    return _read_industry_column(source, "score", lambda cell: parse_score(cell, "score"))
+    return _read_industry_column(
+        source, "score", lambda cell: parse_score(cell, "score"), "industry scores"
+    )
 
 
 def industry_exposure(

@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
-from . import MODEL_COLUMNS
+from . import MODEL_COLUMNS, runio
 from .errors import (
     ComputationError, InputFormatError, LmExposureError, json_object, located, only_keys, open_text,
     unique_keys,
@@ -350,19 +350,17 @@ class LogicalClock:
 
 
 class AnnotationStore:
-    """Append-only JSON-lines record of annotation runs."""
+    """Append-only JSON-lines record of annotation runs, rewritten atomically."""
 
     def __init__(self, path: Path, clock: Callable[[], str] = utc_now_iso) -> None:
         self.path = path
         self.clock = clock
 
     def append(self, runs: Iterable[AnnotationRun]) -> None:
-        """Append one record per run in a single buffered write."""
-        lines = [self._record_line(run) for run in runs]
-        payload = "".join(lines)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
+        """Append one record per run: the stored text and the new records go
+        through one atomic write, so a failed write leaves the store as it was."""
+        stored = self.path.read_bytes().decode("utf-8") if self.path.exists() else ""
+        runio.atomic_write_text(self.path, stored + "".join(map(self._record_line, runs)))
 
     def _record_line(self, run: AnnotationRun) -> str:
         record = {

@@ -132,16 +132,10 @@ def _contour_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _validate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--taxonomy")
-    p.add_argument("--scores")
-    p.add_argument("--expert")
-    p.add_argument("--intensity")
-    p.add_argument("--demographics")
-    p.add_argument("--outcomes")
-    p.add_argument("--industry-scores")
-    p.add_argument("--scenario")
-    p.add_argument("--annotations")
-    p.add_argument("--mock")
+    from .commands import READERS  # one option per input that a command reads
+
+    for option in READERS:
+        p.add_argument("--" + option.replace("_", "-"))
 
 
 def _pipeline_arguments(p: argparse.ArgumentParser) -> None:

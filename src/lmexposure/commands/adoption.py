@@ -13,11 +13,10 @@ from . import RunConfig
 
 
 def _scenario_inputs(args: argparse.Namespace, config: RunConfig):
-    scenario = config.add_input("scenario", args.scenario)
     scores = args.industry_scores
     if scores is not None:
         scores = config.add_input("industry_scores", scores)
-    return econ.load_scenario(scenario, scores)
+    return config.read("scenario", scores)
 
 
 def _law_payload(law: econ.GrowthLaw) -> dict[str, object]:

@@ -47,11 +47,8 @@ def industry_csv(
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    from .. import taxonomy as tax
-
     config = RunConfig(args)
-    taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
-    text = aggregated_csv(taxonomy, config.score_column(args), args.full_precision)
+    text = aggregated_csv(config.read("taxonomy"), config.score_column(), args.full_precision)
     config.emit({"aggregated": (Path(args.out), text)})
     return EXIT_OK
 
@@ -60,8 +57,8 @@ def cmd_industry(args: argparse.Namespace) -> int:
     from .. import aggregate as agg
 
     config = RunConfig(args)
-    matrix = agg.IntensityMatrix.from_csv(config.add_input("intensity", args.intensity))
-    r_occ = config.score_column(args)
+    matrix = config.read("intensity")
+    r_occ = config.score_column()
     names = None
     if args.industries:
         path = config.add_input("industries", args.industries)
@@ -81,11 +78,8 @@ def cmd_demographic(args: argparse.Namespace) -> int:
     from .. import aggregate as agg
 
     config = RunConfig(args)
-    shares = agg.DemographicShares.from_csv(
-        config.add_input("demographics", args.demographics)
-    )
-    r_ind = agg.read_industry_scores(config.add_input("industry_scores", args.industry_scores))
-    result = agg.demographic_exposure(shares, r_ind)
+    shares = config.read("demographics")
+    result = agg.demographic_exposure(shares, config.read("industry_scores"))
     rows = [("age_group", "score"), *((group, result[group]) for group in shares.age_groups)]
     config.emit({"demographic": (Path(args.out), runio.csv_text(rows, args.full_precision))})
     return EXIT_OK

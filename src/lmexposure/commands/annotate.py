@@ -79,13 +79,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         if failed:
             raise ConfigError(message)
     config = RunConfig(args)
-    taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
+    taxonomy = config.read("taxonomy")
     rubric = ann.DEFAULT_RUBRIC
     if args.rubric:
         with open_text(config.add_input("rubric", args.rubric)) as handle:
             rubric = handle.read()
-    if args.mock:
-        config.add_input("mock", args.mock)
+    mock = config.read("mock", taxonomy) if args.mock else None
 
     if args.level == "leaf":
         nodes = taxonomy.leaves()
@@ -102,7 +101,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         raise ComputationError("no annotatable occupations at the requested level")
 
     if args.mock:
-        clients = [ann.load_mock_client(args.mock, taxonomy)] * len(model_ids)  # stateless
+        clients = [mock] * len(model_ids)  # stateless
     else:
         clients = [_load_live_client(live_spec, model_id) for model_id in model_ids]
     side_by_side = all(ann._concurrent(client) for client in clients)
@@ -121,7 +120,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     )
     runs = [run for model_runs in per_model for run in model_runs]
 
-    out.parent.mkdir(parents=True, exist_ok=True)
     clock = ann.LogicalClock() if args.mock else ann.utc_now_iso
     store = ann.AnnotationStore(path=out, clock=clock)
     store.append(runs)

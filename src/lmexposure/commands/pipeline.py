@@ -5,10 +5,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from .. import aggregate as agg
 from .. import runio
 from .. import scores as sc
-from .. import taxonomy as tax
 from ..errors import EXIT_OK
 from . import RunConfig
 from .aggregate import aggregated_csv, industry_csv
@@ -25,9 +23,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     config = RunConfig(args, manifest=outdir / "manifest.json")
     config.parameters["column"] = args.column
     full = args.full_precision
-    table = sc.recompute_ensemble(sc.read_score_table(config.add_input("scores", args.scores)))
-    taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
-    matrix = agg.IntensityMatrix.from_csv(config.add_input("intensity", args.intensity))
+    table = sc.recompute_ensemble(config.read("scores"))
+    taxonomy = config.read("taxonomy")
+    matrix = config.read("intensity")
     leaf_scores = table.column(args.column)
     outputs = {
         "scores": ("score_table.csv", sc.render_score_table(table, full)),

@@ -14,25 +14,17 @@ def cmd_score(args: argparse.Namespace) -> int:
     config = RunConfig(args)
 
     if args.annotations:
-        from .. import annotate as ann
-
-        runs = ann.read_annotation_store(config.add_input("annotations", args.annotations))
-        titles = {}
-        if args.taxonomy:
-            from .. import taxonomy as tax
-
-            taxonomy = tax.load_taxonomy(config.add_input("taxonomy", args.taxonomy))
-            titles = {code: node.title for code, node in taxonomy.index.items()}
+        runs = config.read("annotations")
+        index = config.read("taxonomy").index if args.taxonomy else {}
+        titles = {code: node.title for code, node in index.items()}
         table = sc.ScoreTable(rows=sc.records_from_runs(runs, titles))
         if args.expert:
-            means = sc.read_expert_panel(config.add_input("expert", args.expert))
+            means = config.read("expert")
             for row in table.rows:
                 if row.code in means:
                     row.scores["expert"] = means[row.code]
     else:
-        table = sc.recompute_ensemble(
-            sc.read_score_table(config.add_input("scores", args.scores))
-        )
+        table = sc.recompute_ensemble(config.read("scores"))
 
     config.emit({"scores": (Path(args.out), sc.render_score_table(table, args.full_precision))})
     return EXIT_OK

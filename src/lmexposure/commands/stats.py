@@ -28,11 +28,11 @@ def summary_payload(table: sc.ScoreTable) -> dict[str, object]:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = RunConfig(args)
-    table = sc.read_score_table(config.add_input("scores", args.scores))
+    table = config.read("scores")
     plot: dict[str, tuple[Path, str]] = {}
 
     if args.outcomes:
-        outcome = lstats.read_outcome_csv(config.add_input("outcomes", args.outcomes))
+        outcome = config.read("outcomes")
         exposure = table.column(args.column)
         report = lstats.scatter_report(exposure, outcome, table.titles())
         payload = {

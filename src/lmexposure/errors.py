@@ -156,8 +156,11 @@ def _rows(reader, width: int) -> Iterator[list[str]]:
             yield row
 
 
-def cells_at(header: list[str], names: tuple[str, ...]) -> list[int]:
-    """The cell index of each name in ``header``, which must name each once."""
+def cells_at(header: list[str] | None, names: tuple[str, ...], what: str) -> list[int]:
+    """The cell index of each name in ``header``, which must name each once;
+    ``what`` names the file's kind in the error of a header that lacks one."""
+    if header is None or not set(names).issubset(header):
+        raise InputFormatError(f"{what} header must contain {sorted(names)}, got {header}", line=1)
     for name in names:
         if header.count(name) > 1:
             raise InputFormatError(f"header names column {name!r} twice", line=1)

@@ -31,7 +31,8 @@ def sha256_file(path: str | Path) -> str:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file in the target directory plus rename.
 
-    A failed write never leaves a partial file at the destination.
+    A failed write never leaves a partial file at the destination, and its
+    ``OSError`` names ``path`` when it names no file of its own.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -42,11 +43,13 @@ def atomic_write_text(path: str | Path, text: str) -> None:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp_name)
         except FileNotFoundError:
             pass
+        if isinstance(exc, OSError) and exc.filename is None:  # a failed write names no file
+            exc.filename = str(path)
         raise
 
 

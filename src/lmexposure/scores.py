@@ -54,11 +54,7 @@ def read_expert_panel(source: str | Path) -> dict[str, float]:
     """Each code's mean score in a long-format expert file with header ``code,score``."""
     scores: dict[str, list[float]] = {}
     with csv_input(source) as (header, rows, _):
-        if header is None or not {"code", "score"}.issubset(header):
-            raise InputFormatError(
-                f"expert panel header must contain ['code', 'score'], got {header}", line=1
-            )
-        at_code, at_score = cells_at(header, ("code", "score"))
+        at_code, at_score = cells_at(header, ("code", "score"), "expert panel")
         for row in rows:
             code = code_cell(row[at_code])
             scores.setdefault(code, []).append(parse_score(row[at_score], "expert score"))

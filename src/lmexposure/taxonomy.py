@@ -54,8 +54,7 @@ class OccupationCode(NamedTuple):
 
     @classmethod
     def parse(cls, raw: str) -> "OccupationCode":
-        raw = raw.strip()
-        if not CODE_RE.fullmatch(raw):
+        if not (CODE_RE.fullmatch(raw) or CODE_RE.fullmatch(raw := raw.strip())):  # plain: as is
             segments = raw.split("-")
             if not all(segment.isdecimal() for segment in segments):  # isdecimal is \d
                 raise MalformedCodeError(f"malformed occupation code {raw!r}")
@@ -149,21 +148,13 @@ def load_taxonomy(source: str | Path | io.TextIOBase) -> Taxonomy:
     """
     columns = ("code", "title", "description", "excluded")
     with csv_input(source) as (header, rows, reader):
-        if header is None or not set(columns).issubset(header):
-            raise InputFormatError(
-                f"taxonomy header must contain {sorted(columns)}, got {header}", line=1
-            )
-        at_code, at_title, at_description, at_excluded = cells_at(header, columns)
+        at_code, at_title, at_description, at_excluded = cells_at(header, columns, "taxonomy")
 
         index: dict[str, OccupationNode] = {}
         lines: dict[str, int] = {}
         for row in rows:
-            raw = row[at_code]
-            if CODE_RE.fullmatch(raw):  # a plain code: no strip
-                code = OccupationCode(raw, _LEVELS[raw.count("-")])
-            else:
-                code = OccupationCode.parse(raw)
-                raw = code.raw
+            code = OccupationCode.parse(row[at_code])
+            raw = code.raw
             if raw in lines:
                 raise DuplicateCodeError(
                     f"duplicate occupation code {raw!r} (first seen on line {lines[raw]})"

@@ -31,6 +31,7 @@ from lmexposure.cli import (
     build_parser,
     main,
 )
+from lmexposure.commands import READERS
 from lmexposure.fixtures import fixture_path
 from lmexposure.scores import read_score_table
 
@@ -419,6 +420,14 @@ def test_industry_list_row_without_name_exits_3(tmp_path, capsys):
 )
 def test_header_that_names_a_read_column_twice_exits_3(tmp_path, capsys, option, text, column):
     # Which of the two cells is meant cannot be told, so neither is read.
+    bad = _read_alone(tmp_path, option, text)
+    captured = capsys.readouterr()
+    assert f"{bad}:1: header names column {column!r} twice" in captured.out + captured.err
+
+
+def _read_alone(tmp_path, option, text):
+    """Write ``text`` as the file of ``option``, read it with ``validate`` (or
+    ``industry``, for ``--industries``), check exit 3, and return the file."""
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
     if option == "--industries":
@@ -427,8 +436,24 @@ def test_header_that_names_a_read_column_twice_exits_3(tmp_path, capsys, option,
     else:
         argv = ["validate"]
     assert main([*argv, option, str(bad)]) == EXIT_INPUT
+    return bad
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--industry-scores", "industry_id,exposure\n1,0.2\n"),
+        ("--industries", "industry_id,label\n1,Mining\n"),
+        ("--expert", "code,value\n2-01,0.2\n"),
+        ("--taxonomy", "code,title,description\n2,A,d\n"),
+    ],
+    ids=["industry scores", "industry list", "expert panel", "taxonomy"],
+)
+def test_header_that_lacks_a_read_column_exits_3(tmp_path, capsys, option, text):
+    bad = _read_alone(tmp_path, option, text)
     captured = capsys.readouterr()
-    assert f"{bad}:1: header names column {column!r} twice" in captured.out + captured.err
+    assert f"{bad}:1: " in captured.out + captured.err
+    assert "header must contain" in captured.out + captured.err
 
 
 def test_industry_list_lacking_an_industry_of_the_matrix_exits_3(tmp_path, capsys):
@@ -1075,6 +1100,33 @@ def test_an_output_path_that_cannot_be_written_is_config_error(tmp_path, capsys,
     assert paths["file"].read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "argv, max_bytes",
+    [
+        (["score", "--scores", SCORES], 1_000),
+        (["annotate", "--taxonomy", TAXONOMY, "--mock", MOCK, "--n-samples", "8"], 20_000),
+    ],
+    ids=["score", "annotate"],
+)
+def test_a_write_that_fails_names_its_output_and_leaves_no_file(tmp_path, argv, max_bytes):
+    resource = pytest.importorskip("resource")
+    import signal
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # the write fails with EFBIG instead
+        resource.setrlimit(resource.RLIMIT_FSIZE, (max_bytes, max_bytes))
+
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(lmexposure.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "lmexposure.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_file_size,
+    )
+    assert result.returncode == EXIT_CONFIG
+    assert result.stderr.splitlines()[-1].startswith(f"error: {out}: ")
+    assert list(tmp_path.iterdir()) == []  # no output, no temp file, no manifest
+
+
 def test_manifest_digests_an_input_before_the_output_replaces_it(tmp_path):
     table = tmp_path / "t.csv"
     lines = Path(SCORES).read_text().splitlines(keepends=True)
@@ -1122,6 +1174,22 @@ def test_every_command_module_defines_its_handler():
     for command, (_, module_name, _) in _COMMANDS.items():
         module = importlib.import_module(f"lmexposure.commands.{module_name}")
         assert callable(getattr(module, f"cmd_{command}", None)), (module_name, command)
+
+
+def test_handlers_read_their_input_options_through_the_readers_table():
+    # ``READERS`` says how each input option's file is read; a handler that
+    # calls a reader itself would state that a second time.
+    readers = {name.rpartition(".")[2] for _, name in READERS.values()}
+    commands = Path(lmexposure.__file__).parent / "commands"
+    named = []
+    for path in sorted(commands.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [name]
+            named += [(path.name, n) for n in names if n in readers]
+    assert named == []
 
 
 def test_cli_imports_only_the_standard_library():
